@@ -1,21 +1,15 @@
 #include "check/shrink.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "data/csv.h"
 #include "fault/file.h"
+#include "util/decimal.h"
 
 namespace popp::check {
 namespace {
-
-std::string Num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 const char* ShapeChoiceName(FamilyOptions::ShapeChoice choice) {
   switch (choice) {
@@ -98,14 +92,18 @@ void SerializeTransformOptions(const PiecewiseOptions& o,
       << (o.family.allow_linear ? 1 : 0) << " "
       << (o.family.allow_polynomial ? 1 : 0) << " "
       << (o.family.allow_log ? 1 : 0) << " "
-      << (o.family.allow_sqrt_log ? 1 : 0) << " power " << Num(o.family.min_power)
-      << " " << Num(o.family.max_power) << " alpha " << Num(o.family.min_alpha)
-      << " " << Num(o.family.max_alpha) << " anti_prob "
-      << Num(o.family.anti_monotone_prob) << " out_width "
-      << Num(o.out_width_factor_min) << " " << Num(o.out_width_factor_max)
-      << " out_offset " << Num(o.out_offset_min) << " " << Num(o.out_offset_max)
-      << " gap " << Num(o.gap_fraction) << " skew " << Num(o.width_split_skew)
-      << "\n";
+      << (o.family.allow_sqrt_log ? 1 : 0) << " power "
+      << FormatDouble17(o.family.min_power) << " "
+      << FormatDouble17(o.family.max_power) << " alpha "
+      << FormatDouble17(o.family.min_alpha) << " "
+      << FormatDouble17(o.family.max_alpha) << " anti_prob "
+      << FormatDouble17(o.family.anti_monotone_prob) << " out_width "
+      << FormatDouble17(o.out_width_factor_min) << " "
+      << FormatDouble17(o.out_width_factor_max) << " out_offset "
+      << FormatDouble17(o.out_offset_min) << " "
+      << FormatDouble17(o.out_offset_max) << " gap "
+      << FormatDouble17(o.gap_fraction) << " skew "
+      << FormatDouble17(o.width_split_skew) << "\n";
 }
 
 Status ParseTransformOptions(Reader& reader, PiecewiseOptions& o) {
@@ -206,7 +204,7 @@ void SerializeBuildOptions(const BuildOptions& o, std::ostringstream& out) {
   out << "build criterion " << ToString(o.criterion) << " max_depth "
       << o.max_depth << " min_split_size " << o.min_split_size
       << " min_leaf_size " << o.min_leaf_size << " min_impurity_decrease "
-      << Num(o.min_impurity_decrease) << " candidates "
+      << FormatDouble17(o.min_impurity_decrease) << " candidates "
       << (o.candidate_mode == BuildOptions::CandidateMode::kAllBoundaries
               ? "all"
               : "runs")

@@ -2,9 +2,12 @@
 #define POPP_DATA_CSV_H_
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/decimal.h"
 #include "util/status.h"
 
 /// \file
@@ -23,6 +26,13 @@
 /// arbitrary byte windows), so the streaming release engine reads
 /// gigabyte-scale files in bounded memory through the exact same code path
 /// as the one-shot `ParseCsv`.
+///
+/// Text I/O is a large share of a release (the compiled kernel is about 1%
+/// of it), so neither direction allocates per field or per cell: records are
+/// views over the parser's buffer, numbers are read with `from_chars`, and
+/// cells are written by FormatDouble17 into a caller-owned buffer. Both
+/// are byte-for-byte what the historical `strtod`/`snprintf` code accepted
+/// and produced.
 
 namespace popp {
 
@@ -33,28 +43,38 @@ struct CsvOptions {
   bool has_header = true;
 };
 
-/// One parsed CSV record with the physical line it started on (quoted
-/// fields may span lines, so consecutive records need not be consecutive
-/// lines).
+/// One parsed CSV record: views of its fields and the physical line it
+/// started on (quoted fields may span lines, so consecutive records need
+/// not be consecutive lines). The views point into the parser's buffer and
+/// stay valid until the next Feed. Callers reuse one record, so after the
+/// first few rows parsing allocates nothing.
 struct CsvRecord {
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   size_t line = 0;
 };
 
-/// Incremental CSV tokenizer: feed arbitrary byte windows, collect complete
-/// records. A quoted field interrupted by a window boundary resumes
-/// seamlessly in the next Feed call. Blank lines are skipped. Call Finish
-/// exactly once at end of input to flush a final record without a trailing
-/// newline (and to diagnose an unterminated quote).
+/// Incremental CSV tokenizer: feed arbitrary byte windows, pull complete
+/// records. A record interrupted by a window boundary (even inside a quoted
+/// field) resumes where the scan stopped once more bytes arrive, so the
+/// bytes before the cut are not scanned again. Blank lines are skipped.
+/// Fields are unescaped in place inside the parser's buffer, so a record
+/// costs no allocation: unquoted fields are plain views of the input and
+/// quoted ones are compacted over their own raw bytes.
 class CsvRecordParser {
  public:
   explicit CsvRecordParser(char delimiter = ',');
 
-  /// Consumes `bytes`; complete records are appended to `records`.
-  void Feed(const char* bytes, size_t size, std::vector<CsvRecord>* records);
+  /// Appends input bytes. Invalidates the views of every earlier record.
+  void Feed(const char* bytes, size_t size);
 
-  /// Signals end of input. Emits the final unterminated record, if any.
-  Status Finish(std::vector<CsvRecord>* records);
+  /// Signals end of input: the final record no longer needs a newline.
+  void Finish();
+
+  /// Parses the next complete record into `record`. Returns false when the
+  /// buffered bytes hold no complete record: Feed more, or, after Finish,
+  /// the input is exhausted. An unterminated quote at end of input is an
+  /// error.
+  Result<bool> Next(CsvRecord* record);
 
  private:
   enum class State {
@@ -66,15 +86,27 @@ class CsvRecordParser {
   };
 
   void EndField();
-  void EndOfLine(std::vector<CsvRecord>* records);
+  /// Handles a line terminator; true when it completed a record.
+  bool EndOfLine(CsvRecord* record);
 
   char delim_;
   State state_ = State::kRecordStart;
+  bool finished_ = false;
   /// A '\r' outside quotes is withheld until the next byte decides whether
   /// it belongs to a CRLF terminator or is literal field data.
   bool cr_pending_ = false;
-  std::string field_;
-  std::vector<std::string> fields_;
+  /// Unconsumed input from start_, where the current record begins.
+  /// [field_start_, write_) holds the current field's unescaped bytes and
+  /// [read_, buf_.size()) the bytes not yet scanned; write_ <= read_
+  /// always, since unescaping never lengthens a field.
+  std::string buf_;
+  size_t start_ = 0;
+  size_t field_start_ = 0;
+  size_t write_ = 0;
+  size_t read_ = 0;
+  /// Offset (relative to start_) and size of each finished field of the
+  /// record.
+  std::vector<std::pair<size_t, size_t>> field_spans_;
   size_t line_ = 1;
   size_t record_line_ = 1;
 };
@@ -121,8 +153,7 @@ Result<Dataset> ReadCsv(const std::string& path,
                         const CsvOptions& options = {});
 
 /// Parses a dataset from an in-memory CSV string (same format as ReadCsv).
-Result<Dataset> ParseCsv(const std::string& text,
-                         const CsvOptions& options = {});
+Result<Dataset> ParseCsv(std::string_view text, const CsvOptions& options = {});
 
 /// Writes `data` to `path` in the format ReadCsv accepts.
 Status WriteCsv(const Dataset& data, const std::string& path,
@@ -133,11 +164,31 @@ Status WriteCsv(const Dataset& data, const std::string& path,
 /// round-trips.
 std::string ToCsvString(const Dataset& data, const CsvOptions& options = {});
 
-/// Exact serialization for one data cell: integral values print compactly,
-/// everything else with 17 significant digits so IEEE-754 doubles
-/// round-trip bit-exactly. Exposed so the streaming writer emits byte-wise
-/// the same release a batch WriteCsv would.
+/// Appends exactly the bytes ToCsvString would return to `out`. Chunk
+/// writers pass one buffer for every chunk, so after the first chunk the
+/// text costs no allocation at all.
+void AppendCsv(const Dataset& data, const CsvOptions& options,
+               std::string* out);
+
+/// Room FormatCsvCell needs: integral cells are at most 16 bytes, the
+/// others are FormatDouble17 text.
+inline constexpr size_t kCsvCellMaxChars = kDouble17MaxChars;
+
+/// Exact serialization for one data cell: integral values below 1e15 print
+/// as `%.0f` would (so -0.0 is "-0"), everything else as `%.17g` would
+/// (FormatDouble17), so IEEE-754 doubles round-trip bit-exactly. Writes to
+/// `out`, which must have room for kCsvCellMaxChars bytes, and returns one
+/// past the last byte of the cell.
+char* FormatCsvCell(AttrValue v, char* out);
+
+/// FormatCsvCell as a string, for diagnostics.
 std::string FormatCsvCell(AttrValue v);
+
+/// Parses one numeric field exactly as `strtod` would and rejects what the
+/// reader always rejected: trailing bytes, an empty field, and magnitudes
+/// that overflow or underflow (errno ERANGE). `line_no` names the record
+/// in the error. This is the reader's rule for every numeric field.
+Result<double> ParseCsvCell(std::string_view text, size_t line_no);
 
 }  // namespace popp
 

@@ -36,11 +36,11 @@ Result<ClassId> Schema::ClassIdOf(const std::string& name) const {
   return Status::NotFound("no class named '" + name + "'");
 }
 
-ClassId Schema::GetOrAddClass(const std::string& name) {
+ClassId Schema::GetOrAddClass(std::string_view name) {
   for (size_t i = 0; i < class_names_.size(); ++i) {
     if (class_names_[i] == name) return static_cast<ClassId>(i);
   }
-  class_names_.push_back(name);
+  class_names_.emplace_back(name);
   return static_cast<ClassId>(class_names_.size() - 1);
 }
 

@@ -2,6 +2,7 @@
 #define POPP_DATA_SCHEMA_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/value.h"
@@ -38,8 +39,9 @@ class Schema {
   /// Returns the id of the named class, or kNotFound status.
   Result<ClassId> ClassIdOf(const std::string& name) const;
 
-  /// Adds a class label if new; returns its id either way.
-  ClassId GetOrAddClass(const std::string& name);
+  /// Adds a class label if new; returns its id either way. Takes a view so
+  /// the CSV reader can look up a label without copying it per row.
+  ClassId GetOrAddClass(std::string_view name);
 
   const std::vector<std::string>& attribute_names() const {
     return attribute_names_;

@@ -1,22 +1,13 @@
 #include "serve/plan_cache.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "util/crc64.h"
+#include "util/decimal.h"
 #include "util/status.h"
 
 namespace popp::serve {
 namespace {
-
-/// 17-significant-digit rendering, the same discipline the plan serializer
-/// uses: distinct doubles render distinctly, so distinct knob settings
-/// cannot collide into one policy fingerprint.
-std::string FmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void AppendDelimited(std::string* out, const std::string& piece) {
   out->append(std::to_string(piece.size()));
@@ -44,6 +35,9 @@ uint64_t SchemaFingerprint(const Schema& schema) {
 }
 
 std::string PolicyFingerprint(const PiecewiseOptions& o) {
+  // Doubles render with FormatDouble17: distinct doubles render
+  // distinctly, so distinct knob settings cannot collide into one policy
+  // fingerprint.
   std::string s = "policy=" + ToString(o.policy);
   s += " w=" + std::to_string(o.min_breakpoints);
   s += " minmono=" + std::to_string(o.min_mono_width);
@@ -55,17 +49,17 @@ std::string PolicyFingerprint(const PiecewiseOptions& o) {
   s += o.family.allow_polynomial ? 'P' : '-';
   s += o.family.allow_log ? 'G' : '-';
   s += o.family.allow_sqrt_log ? 'S' : '-';
-  s += " pow=" + FmtDouble(o.family.min_power) + ".." +
-       FmtDouble(o.family.max_power);
-  s += " alpha=" + FmtDouble(o.family.min_alpha) + ".." +
-       FmtDouble(o.family.max_alpha);
-  s += " antiprob=" + FmtDouble(o.family.anti_monotone_prob);
-  s += " width=" + FmtDouble(o.out_width_factor_min) + ".." +
-       FmtDouble(o.out_width_factor_max);
-  s += " offset=" + FmtDouble(o.out_offset_min) + ".." +
-       FmtDouble(o.out_offset_max);
-  s += " gap=" + FmtDouble(o.gap_fraction);
-  s += " skew=" + FmtDouble(o.width_split_skew);
+  s += " pow=" + FormatDouble17(o.family.min_power) + ".." +
+       FormatDouble17(o.family.max_power);
+  s += " alpha=" + FormatDouble17(o.family.min_alpha) + ".." +
+       FormatDouble17(o.family.max_alpha);
+  s += " antiprob=" + FormatDouble17(o.family.anti_monotone_prob);
+  s += " width=" + FormatDouble17(o.out_width_factor_min) + ".." +
+       FormatDouble17(o.out_width_factor_max);
+  s += " offset=" + FormatDouble17(o.out_offset_min) + ".." +
+       FormatDouble17(o.out_offset_max);
+  s += " gap=" + FormatDouble17(o.gap_fraction);
+  s += " skew=" + FormatDouble17(o.width_split_skew);
   return s;
 }
 

@@ -36,7 +36,6 @@ Status CsvChunkReader::EnsureOpen() {
   eof_ = false;
   parser_ = std::make_unique<CsvRecordParser>(options_.delimiter);
   builder_ = std::make_unique<CsvDatasetBuilder>(options_);
-  pending_.clear();
   buffer_.resize(buffer_bytes_);
   return Status::Ok();
 }
@@ -44,29 +43,26 @@ Status CsvChunkReader::EnsureOpen() {
 Result<Dataset> CsvChunkReader::NextChunk(size_t max_rows) {
   POPP_CHECK_MSG(max_rows > 0, "NextChunk needs max_rows >= 1");
   POPP_RETURN_IF_ERROR(EnsureOpen());
-  std::vector<CsvRecord> records;
   while (builder_->PendingRows() < max_rows) {
-    if (!pending_.empty()) {
-      POPP_RETURN_IF_ERROR(builder_->Consume(pending_.front()));
-      pending_.pop_front();
+    // Records left in the parser from the last read come first; only when
+    // it holds no complete record is more of the file read.
+    auto got = parser_->Next(&record_);
+    if (!got.ok()) return got.status();
+    if (got.value()) {
+      POPP_RETURN_IF_ERROR(builder_->Consume(record_));
       continue;
     }
     if (eof_) break;
     auto read = in_.Read(buffer_.data(), buffer_.size());
     if (!read.ok()) return read.status();
-    const size_t got = read.value();
-    if (got > 0) {
-      parser_->Feed(buffer_.data(), got, &records);
+    if (read.value() > 0) {
+      parser_->Feed(buffer_.data(), read.value());
     } else {
       eof_ = true;
-      POPP_RETURN_IF_ERROR(parser_->Finish(&records));
+      parser_->Finish();
     }
-    for (auto& record : records) {
-      pending_.push_back(std::move(record));
-    }
-    records.clear();
   }
-  if (eof_ && pending_.empty() && builder_->PendingRows() == 0) {
+  if (eof_ && builder_->PendingRows() == 0) {
     // End of stream; surfaces "empty CSV input" on a schema-less file.
     POPP_RETURN_IF_ERROR(builder_->Finish());
   }
@@ -79,7 +75,6 @@ Status CsvChunkReader::Rewind() {
   eof_ = false;
   parser_.reset();
   builder_.reset();
-  pending_.clear();
   return Status::Ok();
 }
 
@@ -121,7 +116,9 @@ Status CsvChunkWriter::Append(const Dataset& chunk) {
   CsvOptions chunk_options = options_;
   chunk_options.has_header = options_.has_header && !wrote_header_;
   wrote_header_ = true;
-  return out_->Append(ToCsvString(chunk, chunk_options));
+  text_.clear();
+  AppendCsv(chunk, chunk_options, &text_);
+  return out_->Append(text_);
 }
 
 Status CsvChunkWriter::Close() {

@@ -1,7 +1,6 @@
 #ifndef POPP_STREAM_CHUNK_IO_H_
 #define POPP_STREAM_CHUNK_IO_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,10 +81,12 @@ class ChunkWriter {
   virtual Status Close() = 0;
 };
 
-/// Streams a CSV file in bounded memory: at most one chunk plus one 64 KiB
-/// read buffer is resident. Shares the incremental tokenizer with ReadCsv,
-/// so quoting, CRLF and missing-trailing-newline semantics are identical —
-/// including quoted fields that span read-buffer boundaries.
+/// Streams a CSV file in bounded memory: at most one chunk, one 64 KiB
+/// read buffer and the parser's window (the unconsumed rest of the last
+/// read plus the record it cuts) are resident. Shares the incremental
+/// tokenizer with ReadCsv, so quoting, CRLF and missing-trailing-newline
+/// semantics are identical — including quoted fields that span
+/// read-buffer boundaries.
 class CsvChunkReader : public ChunkReader {
  public:
   /// `buffer_bytes` is the file read granularity (tests shrink it to force
@@ -107,7 +108,7 @@ class CsvChunkReader : public ChunkReader {
   bool eof_ = false;
   std::unique_ptr<CsvRecordParser> parser_;
   std::unique_ptr<CsvDatasetBuilder> builder_;
-  std::deque<CsvRecord> pending_;
+  CsvRecord record_;  // reused: its field views point into parser_
   std::vector<char> buffer_;
 };
 
@@ -143,6 +144,7 @@ class CsvChunkWriter : public ChunkWriter {
   CsvOptions options_;
   std::unique_ptr<fault::AtomicFileWriter> out_;
   bool wrote_header_ = false;
+  std::string text_;  // reused for every chunk's CSV text
 };
 
 /// Collects chunks into one in-memory dataset (tests and the oracle use

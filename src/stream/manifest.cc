@@ -289,16 +289,17 @@ Status ResumableCsvChunkWriter::Append(const Dataset& chunk) {
   }
   CsvOptions chunk_options = options_;
   chunk_options.has_header = options_.has_header && next_index_ == 0;
-  const std::string bytes = ToCsvString(chunk, chunk_options);
+  text_.clear();
+  AppendCsv(chunk, chunk_options, &text_);
   // Durability order: chunk bytes reach the partial file (flushed) before
   // the journal line that claims them exists at all.
-  POPP_RETURN_IF_ERROR(partial_.Write(bytes));
+  POPP_RETURN_IF_ERROR(partial_.Write(text_));
   POPP_RETURN_IF_ERROR(partial_.Flush());
   ManifestChunk entry;
   entry.index = next_index_;
   entry.rows = chunk.NumRows();
-  entry.bytes = bytes.size();
-  entry.crc = Crc64(bytes);
+  entry.bytes = text_.size();
+  entry.crc = Crc64(text_);
   POPP_RETURN_IF_ERROR(journal_.Write(ChunkLine(entry)));
   POPP_RETURN_IF_ERROR(journal_.Flush());
   ++next_index_;

@@ -126,6 +126,7 @@ class ResumableCsvChunkWriter : public ChunkWriter {
   size_t total_bytes_ = 0;
   fault::OutputFile partial_;
   fault::OutputFile journal_;
+  std::string text_;  // reused for every chunk's CSV text
 };
 
 }  // namespace popp::stream

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "util/decimal.h"
 #include "util/status.h"
 
 namespace popp {
@@ -58,9 +58,7 @@ std::string PowerShape::Name() const {
 }
 
 std::string PowerShape::Serialize() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "power %.17g", exponent_);
-  return buf;
+  return "power " + FormatDouble17(exponent_);
 }
 
 LogShape::LogShape(double alpha) : alpha_(alpha) {
@@ -82,9 +80,7 @@ std::string LogShape::Name() const {
 }
 
 std::string LogShape::Serialize() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "log %.17g", alpha_);
-  return buf;
+  return "log " + FormatDouble17(alpha_);
 }
 
 SqrtLogShape::SqrtLogShape(double alpha) : alpha_(alpha) {
@@ -107,9 +103,7 @@ std::string SqrtLogShape::Name() const {
 }
 
 std::string SqrtLogShape::Serialize() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "sqrtlog %.17g", alpha_);
-  return buf;
+  return "sqrtlog " + FormatDouble17(alpha_);
 }
 
 // ------------------------------------------------------ RescaledFunction --

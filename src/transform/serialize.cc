@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "fault/file.h"
 #include "transform/piecewise.h"
+#include "util/decimal.h"
 #include "util/integrity.h"
 
 namespace popp {
 namespace {
-
-/// Renders a binary64 exactly: 17 significant decimal digits uniquely
-/// identify every double, and strtod's correctly-rounded parse maps the
-/// text back to the identical bits — including denormals, ±huge values and
-/// signed zero. Piece domain/output endpoints therefore round-trip
-/// bit-for-bit through popp-plan v2 (proved by the adversarial-endpoint
-/// golden tests).
-std::string Num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Minimal whitespace tokenizer with typed reads and error context.
 ///
@@ -95,14 +83,17 @@ void SerializeFunction(const Transformation& fn, std::ostringstream& out) {
     const auto& perm = static_cast<const PermutationFunction&>(fn);
     out << "perm " << perm.size() << "\n";
     for (size_t i = 0; i < perm.size(); ++i) {
-      out << Num(perm.domain()[i]) << " " << Num(perm.image()[i]) << "\n";
+      out << FormatDouble17(perm.domain()[i]) << " "
+          << FormatDouble17(perm.image()[i]) << "\n";
     }
     return;
   }
   const auto& rescaled = static_cast<const RescaledFunction&>(fn);
   out << "rescaled " << rescaled.shape().Serialize() << " "
-      << Num(rescaled.dlo()) << " " << Num(rescaled.dhi()) << " "
-      << Num(rescaled.olo()) << " " << Num(rescaled.ohi()) << " "
+      << FormatDouble17(rescaled.dlo()) << " "
+      << FormatDouble17(rescaled.dhi()) << " "
+      << FormatDouble17(rescaled.olo()) << " "
+      << FormatDouble17(rescaled.ohi()) << " "
       << (rescaled.anti_monotone() ? 1 : 0) << "\n";
 }
 
@@ -155,7 +146,7 @@ Result<std::unique_ptr<Transformation>> ParseFunction(Reader& reader) {
     if (token != "linear") {
       auto param = reader.Number("shape parameter");
       if (!param.ok()) return param.status();
-      token += " " + Num(param.value());
+      token += " " + FormatDouble17(param.value());
     }
     auto shape = ParseShape(token);
     if (!shape.ok()) return shape.status();
@@ -314,8 +305,10 @@ std::string SerializePlan(const TransformPlan& plan) {
         << " global_anti " << (f.global_anti_monotone() ? 1 : 0) << "\n";
     for (size_t p = 0; p < f.NumPieces(); ++p) {
       const auto& piece = f.piece(p);
-      out << "piece " << Num(piece.domain_lo) << " " << Num(piece.domain_hi)
-          << " " << Num(piece.out_lo) << " " << Num(piece.out_hi) << " "
+      out << "piece " << FormatDouble17(piece.domain_lo) << " "
+          << FormatDouble17(piece.domain_hi) << " "
+          << FormatDouble17(piece.out_lo) << " "
+          << FormatDouble17(piece.out_hi) << " "
           << (piece.bijective ? 1 : 0) << "\n";
       SerializeFunction(*piece.fn, out);
     }

@@ -1,10 +1,10 @@
 #include "tree/serialize.h"
 
-#include <cstdio>
 #include <functional>
 #include <sstream>
 
 #include "fault/file.h"
+#include "util/decimal.h"
 #include "util/integrity.h"
 
 namespace popp {
@@ -14,12 +14,6 @@ namespace {
 /// limits (double digits); a hostile document nesting thousands of "split"
 /// tokens must not get to overflow the parser's recursion stack.
 constexpr size_t kMaxParseDepth = 512;
-
-std::string Num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void WriteHist(const std::vector<uint64_t>& hist, std::ostringstream& out) {
   out << " hist " << hist.size();
@@ -163,7 +157,8 @@ std::string SerializeTree(const DecisionTree& tree) {
       WriteHist(node.class_hist, out);
       return;
     }
-    out << "split " << node.attribute << " " << Num(node.threshold);
+    out << "split " << node.attribute << " "
+        << FormatDouble17(node.threshold);
     WriteHist(node.class_hist, out);
     walk(node.left);
     walk(node.right);

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <random>
 #include <set>
 
 #include "util/crc64.h"
+#include "util/decimal.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -405,6 +410,40 @@ TEST(Crc64Test, StreamingSplitsAgreeWithOneShot) {
     stream.Update(std::string_view(bytes).substr(split));
     EXPECT_EQ(stream.value(), whole) << "split=" << split;
   }
+}
+
+// ------------------------------------------------------------- decimal --
+
+std::string Printf17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+TEST(Decimal17Test, MatchesPrintfOnIntegersAndEveryExponent) {
+  // Integral values take the fixed-notation side of %g (csv cells never
+  // send the small ones here, plan keys do).
+  for (int64_t i = -5000; i <= 5000; ++i) {
+    const double v = static_cast<double>(i);
+    ASSERT_EQ(FormatDouble17(v), Printf17(v)) << i;
+  }
+  std::mt19937_64 rng(17);
+  for (uint64_t top = 0; top < (uint64_t{1} << 12); ++top) {
+    for (int i = 0; i < 8; ++i) {
+      const uint64_t bits = (top << 52) | (rng() >> 12);
+      double v;
+      std::memcpy(&v, &bits, sizeof(v));
+      char buf[kDouble17MaxChars];
+      const char* end = FormatDouble17(v, buf);
+      ASSERT_LE(static_cast<size_t>(end - buf), kDouble17MaxChars);
+      ASSERT_EQ(std::string(buf, static_cast<size_t>(end - buf)),
+                Printf17(v))
+          << std::hex << bits;
+    }
+  }
+  EXPECT_EQ(FormatDouble17(-0.0), "-0");
+  EXPECT_EQ(FormatDouble17(0.5), "0.5");
+  EXPECT_EQ(FormatDouble17(1e-5), "1.0000000000000001e-05");
 }
 
 }  // namespace
