@@ -11,14 +11,14 @@
 //
 // Tree induction additionally reports the frontier engine's per-stage
 // breakdown (root sort, split scan, repartition) and `tree_speedup`: the
-// ratio of the *pre-frontier* engine's serial build time (the recursive
-// Algorithm::kPresorted baseline, measured once per dataset) to the cell's
-// frontier build time. That baseline tree is also byte-compared against
-// every cell's tree, so the speedup is over a bit-identical computation,
-// not a relaxed one. Note the metric is deliberately engine-over-engine:
-// on a single-core host thread rows show no wall-clock scaling, while the
+// ratio of the reference engine's serial build time (the recursive
+// Algorithm::kResort, measured once per dataset) to the cell's frontier
+// build time. That reference tree is also byte-compared against every
+// cell's tree, so the speedup is over a bit-identical computation, not a
+// relaxed one. The metric is engine-over-engine, so it also shows the
 // frontier engine's algorithmic gains (columnar partitions, bin-coded
-// scans, allocation-free nodes) remain visible at every thread count.
+// scans, allocation-free nodes) on a host with fewer cores than threads.
+// The JSON records the host's core count and CPU model.
 //
 // Environment: POPP_ROWS caps the grid's largest dataset, POPP_TRIALS
 // the risk-trial count (so CI can smoke-run this in seconds).
@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiment_common.h"
@@ -58,6 +59,23 @@ uint64_t Fnv1a(const std::string& bytes, uint64_t seed = 1469598103934665603ull)
   return h;
 }
 
+/// The host the grid ran on, as a JSON object: online cores and the CPU
+/// model /proc/cpuinfo names.
+std::string HostJson() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      model = line.substr(line.find_first_not_of(" \t", colon + 1));
+      break;
+    }
+  }
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + model + "\"}";
+}
+
 struct CellResult {
   size_t threads = 1;
   double plan_s = 0;
@@ -71,8 +89,8 @@ struct CellResult {
 };
 
 /// Runs the three parallel hot paths once under `threads` threads.
-/// `baseline_tree` is the serial pre-frontier engine's serialized tree for
-/// the same dataset; every cell's tree must match it byte for byte.
+/// `baseline_tree` is the serial kResort engine's serialized tree for the
+/// same dataset; every cell's tree must match it byte for byte.
 CellResult RunCell(const Dataset& data, size_t trials, uint64_t seed,
                    size_t threads, const std::string& baseline_tree) {
   CellResult result;
@@ -150,10 +168,10 @@ int Run() {
                       "sort s", "scan s", "part s", "sub s", "tree x",
                       "trials s", "total s", "speedup", "checksum ok"});
   std::ofstream json("BENCH_parallel.json");
-  json << "{\n  \"experiment\": \"parallel_scaling\",\n  \"trials\": "
-       << env.trials
+  json << "{\n  \"experiment\": \"parallel_scaling\",\n  \"host\": "
+       << HostJson() << ",\n  \"trials\": " << env.trials
        << ",\n  \"tree_speedup_baseline\": "
-          "\"presorted recursive engine (reference split scan), "
+          "\"resort recursive engine (reference split scan), "
           "1 thread\",\n  \"cells\": [\n";
   bool first_cell = true;
   int mismatches = 0;
@@ -174,10 +192,10 @@ int Run() {
       Rng data_rng(env.seed);
       const Dataset data = GenerateCovtypeLike(spec, data_rng);
 
-      // The engine-over-engine baseline: the pre-frontier recursive
-      // builder, serial, measured once per dataset.
+      // The engine-over-engine baseline: the kResort reference builder,
+      // serial, measured once per dataset.
       BuildOptions baseline_options;
-      baseline_options.algorithm = BuildOptions::Algorithm::kPresorted;
+      baseline_options.algorithm = BuildOptions::Algorithm::kResort;
       // Best of three, matching the frontier cells' measurement.
       double tree_baseline_s = 0;
       DecisionTree baseline;
@@ -241,7 +259,7 @@ int Run() {
   json << "\n  ],\n  \"checksum_mismatches\": " << mismatches << "\n}\n";
   table.Print(
       "wall-clock by thread count (checksums must all match; tree x = "
-      "frontier engine over pre-frontier serial baseline)");
+      "frontier engine over the serial kResort reference)");
   std::printf("wrote BENCH_parallel.json (%d checksum mismatches)\n",
               mismatches);
   return mismatches == 0 ? 0 : 1;

@@ -159,6 +159,16 @@ std::vector<AttrValue> CompiledProbes(const AttributeSummary& summary,
 
 }  // namespace
 
+AttrValue ReferenceEncodeClamped(const PiecewiseTransform& t, AttrValue x) {
+  return OodEncodeClamped(DomainBounds::Of(t), x,
+                          [&t](AttrValue v) { return t.Apply(v); });
+}
+
+AttrValue ReferenceEncodeExtended(const PiecewiseTransform& t, AttrValue x) {
+  return OodEncodeExtended(DomainBounds::Of(t), x,
+                           [&t](AttrValue v) { return t.Apply(v); });
+}
+
 OracleResult CheckCompiledVsInterpreted(const Dataset& original,
                                         const TransformPlan& plan,
                                         const Dataset& released,
@@ -192,12 +202,12 @@ OracleResult CheckCompiledVsInterpreted(const Dataset& original,
               << ", interpreted " << FormatCsvCell(iwant);
           return OracleResult::Fail(oss.str());
         }
-        // Shared OOD semantics: compiled bounds vs the stream helpers.
-        if (!BitEqual(stream::EncodeClamped(t, x), ct->EncodeClamped(x)) ||
-            !BitEqual(stream::EncodeExtended(t, x), ct->EncodeExtended(x))) {
+        // Shared OOD semantics: compiled bounds vs the references.
+        if (!BitEqual(ReferenceEncodeClamped(t, x), ct->EncodeClamped(x)) ||
+            !BitEqual(ReferenceEncodeExtended(t, x), ct->EncodeExtended(x))) {
           std::ostringstream oss;
           oss << "attr " << a << " [" << vname
-              << "]: OOD encode differs from the stream helpers at "
+              << "]: OOD encode differs from the reference encoders at "
               << FormatCsvCell(x);
           return OracleResult::Fail(oss.str());
         }
@@ -495,6 +505,33 @@ OracleResult CheckParallelDeterminism(
       std::ostringstream oss;
       oss << "trial " << t << " differs at " << num_threads << " threads ("
           << serial_values[t] << " vs " << parallel_values[t] << ")";
+      return OracleResult::Fail(oss.str());
+    }
+  }
+  return OracleResult::Ok();
+}
+
+OracleResult CheckFrontierVsResort(const Dataset& original,
+                                   const Dataset& released,
+                                   const BuildOptions& build_options,
+                                   size_t num_threads) {
+  BuildOptions frontier = build_options;
+  frontier.algorithm = BuildOptions::Algorithm::kFrontier;
+  BuildOptions resort = build_options;
+  resort.algorithm = BuildOptions::Algorithm::kResort;
+  const DecisionTreeBuilder frontier_builder(frontier,
+                                             ExecPolicy{num_threads});
+  const DecisionTreeBuilder resort_builder(resort);
+  const std::pair<const char*, const Dataset*> sides[] = {
+      {"original", &original}, {"released", &released}};
+  for (const auto& [side, data] : sides) {
+    const DecisionTree want = resort_builder.Build(*data);
+    const DecisionTree got = frontier_builder.Build(*data);
+    if (!ExactlyEqual(want, got)) {
+      std::ostringstream oss;
+      oss << side << " tree: kFrontier at " << num_threads
+          << " threads differs from serial kResort — "
+          << DescribeDifference(want, got);
       return OracleResult::Fail(oss.str());
     }
   }
@@ -1886,6 +1923,14 @@ const std::vector<Oracle>& AllOracles() {
            return CheckTreeEquivalence(ctx.c.data, ctx.plan, ctx.released,
                                        ctx.c.build_options, tree_criteria(ctx),
                                        /*pruned=*/true);
+         }},
+        {"frontier_vs_resort",
+         [](const TrialContext& ctx) {
+           // Case-derived thread count in [1, 8], stepped differently from
+           // the other threaded oracles.
+           const size_t threads = 1 + (ctx.c.plan_seed / 23) % 8;
+           return CheckFrontierVsResort(ctx.c.data, ctx.released,
+                                        ctx.c.build_options, threads);
          }},
         {"serialize_roundtrip",
          [](const TrialContext& ctx) {

@@ -92,6 +92,15 @@ OracleResult CheckParallelDeterminism(const Dataset& original,
                                       const PiecewiseOptions& transform_options,
                                       size_t num_threads);
 
+/// The tree-engine contract (tree/builder.h): on the original and on the
+/// released data, the production kFrontier engine at `num_threads`
+/// threads must build a tree ExactlyEqual to the one the serial kResort
+/// reference builds under the same `build_options`.
+OracleResult CheckFrontierVsResort(const Dataset& original,
+                                   const Dataset& released,
+                                   const BuildOptions& build_options,
+                                   size_t num_threads);
+
 /// The streaming contract (src/stream): a two-pass streamed release over
 /// the same data with the same seed must reproduce the batch artifacts
 /// bit-for-bit at *any* chunk size and thread count — identical plan
@@ -117,11 +126,20 @@ OracleResult CheckColsVsCsv(const Dataset& original,
                             const PiecewiseOptions& transform_options,
                             size_t chunk_rows, size_t num_threads);
 
+/// The interpreted reference of the clamp out-of-domain encode: the image,
+/// under PiecewiseTransform::Apply, of the nearest fitted-hull endpoint.
+AttrValue ReferenceEncodeClamped(const PiecewiseTransform& t, AttrValue x);
+
+/// The interpreted reference of the extend-piece out-of-domain encode:
+/// linear extrapolation beyond the output hull in the global direction;
+/// in-hull values go through PiecewiseTransform::Apply.
+AttrValue ReferenceEncodeExtended(const PiecewiseTransform& t, AttrValue x);
+
 /// The compiled-kernel contract (transform/compiled.h): for every probe —
 /// active-domain values, inter-value midpoints, piece-gap interiors and
 /// out-of-hull offsets — the compiled Apply/Inverse (with and without the
 /// LUT fast path) must be *bit-identical* to the interpreted transform, the
-/// compiled OOD encoders must match the stream helpers bit-for-bit, a
+/// compiled OOD encoders must match the reference encoders above, a
 /// compiled serialize→parse→compile round trip must encode identically, and
 /// CompiledPlan::EncodeDataset must reproduce the interpreted release
 /// byte-for-byte at 1 and `num_threads` threads.
@@ -226,7 +244,7 @@ struct Oracle {
 
 /// The registry the fuzz driver iterates: encode_bijective,
 /// global_invariant, label_runs, tree_equivalence, tree_equivalence_pruned,
-/// serialize_roundtrip, stream_vs_batch, cols_vs_csv,
+/// frontier_vs_resort, serialize_roundtrip, stream_vs_batch, cols_vs_csv,
 /// compiled_vs_interpreted, parallel_determinism, fault_crash_safety,
 /// shard_vs_stream, serve_vs_cli, supervised_convergence.
 const std::vector<Oracle>& AllOracles();

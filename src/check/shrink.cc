@@ -209,9 +209,8 @@ void SerializeBuildOptions(const BuildOptions& o, std::ostringstream& out) {
               ? "all"
               : "runs")
       << " algorithm "
-      << (o.algorithm == BuildOptions::Algorithm::kResort      ? "resort"
-          : o.algorithm == BuildOptions::Algorithm::kPresorted ? "presorted"
-                                                               : "frontier")
+      << (o.algorithm == BuildOptions::Algorithm::kResort ? "resort"
+                                                          : "frontier")
       << "\n";
 }
 
@@ -262,8 +261,6 @@ Status ParseBuildOptions(Reader& reader, BuildOptions& o) {
   if (!algorithm.ok()) return algorithm.status();
   if (algorithm.value() == "resort") {
     o.algorithm = BuildOptions::Algorithm::kResort;
-  } else if (algorithm.value() == "presorted") {
-    o.algorithm = BuildOptions::Algorithm::kPresorted;
   } else if (algorithm.value() == "frontier") {
     o.algorithm = BuildOptions::Algorithm::kFrontier;
   } else {

@@ -1,9 +1,9 @@
 #include "core/cli.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "core/custodian.h"
 #include "core/recipe.h"
@@ -28,6 +28,7 @@
 #include "tree/prune.h"
 #include "tree/serialize.h"
 #include "util/crc64.h"
+#include "util/decimal.h"
 
 namespace popp {
 namespace {
@@ -48,7 +49,9 @@ constexpr char kUsage[] =
     "         [--policy none|bp|maxmp] [--breakpoints W] [--anti] [--resume]\n"
     "         [--worker-deadline MS] [--max-worker-restarts N]\n"
     "  decode <tree.in> <key> <original.csv> <tree.out>\n"
-    "  verify <original.csv> [--seed N]\n"
+    "  verify <original.csv> [--seed N] [--policy none|bp|maxmp]\n"
+    "         [--breakpoints W] [--anti] [--criterion gini|entropy|gainratio]\n"
+    "         [--max-depth D] [--min-leaf N]\n"
     "  verify <release> --manifest [--key key]\n"
     "  report <data.csv> [--trials N] [--seed N]\n"
     "  harden <data.csv> [--max-risk PCT] [--trials N] [--seed N]\n"
@@ -70,7 +73,7 @@ constexpr char kUsage[] =
     "  serve-client <socket> health\n"
     "  serve-client <socket> shutdown\n"
     "  all take --tenant NAME (default 'default') plus the usual --seed,\n"
-    "  --policy, --breakpoints, --anti, --threads, --no-compiled flags,\n"
+    "  --policy, --breakpoints, --anti, --threads, --trials, --save flags,\n"
     "  and --deadline-ms MS / --retry N: the deadline rides the request\n"
     "  (the daemon sheds it with an explicit 'overloaded'/'deadline\n"
     "  exceeded' reply, exit 6, instead of hanging) and --retry retries\n"
@@ -91,9 +94,9 @@ constexpr char kUsage[] =
     "container; convert translates between the two, defaulting --to to\n"
     "the opposite of the input's format. Release output is byte-identical\n"
     "whichever format the input arrives in.\n"
-    "encode, stream-release, verify and report accept --no-compiled to\n"
-    "force the interpreted encode path (A/B debugging; the compiled\n"
-    "kernels are bit-identical, just faster).\n"
+    "Flags are checked strictly: a flag the command does not take, or a\n"
+    "numeric value that is not a whole unsigned decimal (--seed 3x,\n"
+    "--seed -1), is a usage error.\n"
     "\n"
     "stream-release journals progress in <out.csv>.manifest and stages\n"
     "bytes in <out.csv>.partial; --resume continues an interrupted run\n"
@@ -146,8 +149,30 @@ struct ParsedArgs {
   std::map<std::string, std::string> flags;  // name (no dashes) -> value
 };
 
-ParsedArgs Parse(const std::vector<std::string>& args,
-                 const std::vector<std::string>& value_flags) {
+/// Flags that take no value, and flags whose value is free text. Every
+/// other flag a command takes needs an unsigned decimal value.
+constexpr std::string_view kSwitchFlags[] = {"anti", "manifest", "prune",
+                                             "resume"};
+constexpr std::string_view kTextFlags[] = {
+    "criterion", "format", "key",    "key-in", "ood-policy",
+    "policy",    "save",   "tenant", "to",     "workers-mode"};
+
+template <typename List>
+bool Contains(const List& list, std::string_view name) {
+  return std::find(std::begin(list), std::end(list), name) != std::end(list);
+}
+
+/// Parses `args` for `command`, which takes the flags in `accepted` plus
+/// --threads. An unknown flag, a switch given a value, a missing value or
+/// a non-decimal number is reported to `err` and yields nullopt (exit 2).
+std::optional<ParsedArgs> Parse(const std::string& command,
+                                const std::vector<std::string>& args,
+                                const std::vector<std::string>& accepted,
+                                std::ostream& err) {
+  const auto fail = [&](const std::string& what) {
+    err << "popp " << command << ": " << what << "\n";
+    return std::nullopt;
+  };
   ParsedArgs parsed;
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -156,26 +181,41 @@ ParsedArgs Parse(const std::vector<std::string>& args,
       continue;
     }
     std::string name = arg.substr(2);
-    std::string value;
+    std::optional<std::string> value;
     const size_t eq = name.find('=');
     if (eq != std::string::npos) {
       value = name.substr(eq + 1);
-      name = name.substr(0, eq);
-    } else if (std::find(value_flags.begin(), value_flags.end(), name) !=
-                   value_flags.end() &&
-               i + 1 < args.size()) {
+      name.resize(eq);
+    }
+    if (name != "threads" && !Contains(accepted, name)) {
+      return fail("unknown flag --" + name + " (see popp help)");
+    }
+    if (Contains(kSwitchFlags, name)) {
+      if (value) return fail("--" + name + " takes no value");
+      parsed.flags[name];
+      continue;
+    }
+    if (!value) {
+      if (i + 1 == args.size()) return fail("--" + name + " needs a value");
       value = args[++i];
     }
-    parsed.flags[name] = value;
+    uint64_t number = 0;
+    if (!Contains(kTextFlags, name) && !ParseDecimalU64(*value, &number)) {
+      return fail("--" + name + " needs an unsigned decimal integer, got '" +
+                  *value + "'");
+    }
+    parsed.flags[name] = *value;
   }
   return parsed;
 }
 
+/// A numeric flag's value (Parse has checked it), or `fallback` if absent.
 uint64_t FlagInt(const ParsedArgs& args, const std::string& name,
                  uint64_t fallback) {
   auto it = args.flags.find(name);
-  if (it == args.flags.end() || it->second.empty()) return fallback;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
+  uint64_t value = fallback;
+  if (it != args.flags.end()) ParseDecimalU64(it->second, &value);
+  return value;
 }
 
 ExecPolicy ExecFlags(const ParsedArgs& args) {
@@ -261,10 +301,7 @@ int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   const TransformPlan plan =
       TransformPlan::Create(data.value(), *options, rng, ExecFlags(args));
   const Dataset released =
-      args.flags.count("no-compiled") > 0
-          ? plan.EncodeDataset(data.value(), ExecFlags(args))
-          : CompiledPlan::Compile(plan).EncodeDataset(data.value(),
-                                                      ExecFlags(args));
+      CompiledPlan::Compile(plan).EncodeDataset(data.value(), ExecFlags(args));
 
   Status status = WriteCsv(released, args.positional[1]);
   if (!status.ok()) {
@@ -301,7 +338,6 @@ int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
     return 2;
   }
   options.fit_rows = FlagInt(args, "fit-rows", 0);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   auto policy_it = args.flags.find("ood-policy");
   if (policy_it != args.flags.end()) {
     auto policy = stream::ParseOodPolicy(policy_it->second);
@@ -377,7 +413,6 @@ int CmdShardRelease(const ParsedArgs& args, std::ostream& out,
     err << "--chunk-rows must be >= 1\n";
     return 2;
   }
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   options.resume = args.flags.count("resume") > 0;
   auto mode_it = args.flags.find("workers-mode");
   if (mode_it != args.flags.end()) {
@@ -530,7 +565,6 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   options.transform = *transform;
   options.tree = *tree;
   options.exec = ExecFlags(args);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   const Custodian custodian(std::move(data).value(), options);
   std::string detail;
   const bool ok = custodian.VerifyNoOutcomeChange(&detail);
@@ -554,7 +588,6 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   CustodianOptions options;
   options.seed = FlagInt(args, "seed", 1);
   options.exec = ExecFlags(args);
-  options.use_compiled = args.flags.count("no-compiled") == 0;
   const Custodian custodian(std::move(data).value(), options);
   ReportOptions report_options;
   report_options.num_trials = FlagInt(args, "trials", 31);
@@ -662,7 +695,6 @@ std::string ServeOptionsText(const ParsedArgs& args) {
   copy("save");
   copy("deadline-ms");
   if (args.flags.count("anti") > 0) text += "anti\n";
-  if (args.flags.count("no-compiled") > 0) text += "no-compiled\n";
   return text;
 }
 
@@ -795,6 +827,40 @@ int CmdServeClient(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
+/// A subcommand: its handler and the flags it takes besides --threads.
+struct Command {
+  int (*run)(const ParsedArgs&, std::ostream&, std::ostream&);
+  std::vector<std::string> flags;
+};
+
+const std::map<std::string, Command>& Commands() {
+  static const auto* commands = new std::map<std::string, Command>{
+      {"encode", {CmdEncode, {"seed", "policy", "breakpoints", "anti",
+                              "format"}}},
+      {"stream-release",
+       {CmdStreamRelease, {"seed", "policy", "breakpoints", "anti", "format",
+                           "chunk-rows", "ood-policy", "fit-rows", "key-in",
+                           "resume"}}},
+      {"shard-release",
+       {CmdShardRelease, {"seed", "policy", "breakpoints", "anti", "format",
+                          "shards", "workers-mode", "chunk-rows", "resume",
+                          "worker-deadline", "max-worker-restarts"}}},
+      {"mine", {CmdMine, {"criterion", "max-depth", "min-leaf", "prune",
+                          "format"}}},
+      {"decode", {CmdDecode, {"format"}}},
+      {"verify", {CmdVerify, {"seed", "policy", "breakpoints", "anti",
+                              "criterion", "max-depth", "min-leaf", "format",
+                              "manifest", "key"}}},
+      {"report", {CmdReport, {"seed", "trials", "format"}}},
+      {"harden", {CmdHarden, {"seed", "trials", "max-risk", "format"}}},
+      {"convert", {CmdConvert, {"format", "to"}}},
+      {"serve-client",
+       {CmdServeClient, {"seed", "policy", "breakpoints", "anti", "tenant",
+                         "trials", "save", "deadline-ms", "retry"}}},
+  };
+  return *commands;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
@@ -804,26 +870,16 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     return args.empty() ? 2 : 0;
   }
   const std::string& command = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-  static const std::vector<std::string> kValueFlags = {
-      "seed",     "policy", "breakpoints", "criterion",  "max-depth",
-      "min-leaf", "trials", "max-risk",    "threads",    "chunk-rows",
-      "ood-policy", "fit-rows", "key-in", "format", "to", "tenant",
-      "save", "shards", "workers-mode", "key", "worker-deadline",
-      "max-worker-restarts", "retry", "deadline-ms"};
-  const ParsedArgs parsed = Parse(rest, kValueFlags);
-  if (command == "encode") return CmdEncode(parsed, out, err);
-  if (command == "stream-release") return CmdStreamRelease(parsed, out, err);
-  if (command == "shard-release") return CmdShardRelease(parsed, out, err);
-  if (command == "mine") return CmdMine(parsed, out, err);
-  if (command == "decode") return CmdDecode(parsed, out, err);
-  if (command == "verify") return CmdVerify(parsed, out, err);
-  if (command == "report") return CmdReport(parsed, out, err);
-  if (command == "harden") return CmdHarden(parsed, out, err);
-  if (command == "convert") return CmdConvert(parsed, out, err);
-  if (command == "serve-client") return CmdServeClient(parsed, out, err);
-  err << "unknown command '" << command << "'\n" << kUsage;
-  return 2;
+  const auto it = Commands().find(command);
+  if (it == Commands().end()) {
+    err << "unknown command '" << command << "'\n" << kUsage;
+    return 2;
+  }
+  const std::optional<ParsedArgs> parsed =
+      Parse(command, std::vector<std::string>(args.begin() + 1, args.end()),
+            it->second.flags, err);
+  if (!parsed) return 2;
+  return it->second.run(*parsed, out, err);
 }
 
 }  // namespace popp

@@ -12,16 +12,11 @@ Custodian::Custodian(Dataset data, CustodianOptions options)
   Rng rng(options_.seed);
   plan_ = TransformPlan::Create(original_, options_.transform, rng,
                                 options_.exec);
-  if (options_.use_compiled) {
-    compiled_ = CompiledPlan::Compile(plan_);
-  }
+  compiled_ = CompiledPlan::Compile(plan_);
 }
 
 Dataset Custodian::Release() const {
-  if (options_.use_compiled) {
-    return compiled_.EncodeDataset(original_, options_.exec);
-  }
-  return plan_.EncodeDataset(original_, options_.exec);
+  return compiled_.EncodeDataset(original_, options_.exec);
 }
 
 DecisionTree Custodian::MineReleased() const {

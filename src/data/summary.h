@@ -30,8 +30,7 @@ class AttributeSummary {
                                      size_t num_classes);
 
   /// Builds a summary from tuples already sorted by value — one linear
-  /// scan, no sort. The presorted tree builder depends on this being
-  /// O(n). Sortedness is checked in debug builds.
+  /// scan, no sort. Sortedness is checked in debug builds.
   static AttributeSummary FromSortedTuples(const std::vector<ValueLabel>& tuples,
                                            size_t num_classes);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "transform/serialize.h"
 #include "transform/tree_decode.h"
 #include "tree/serialize.h"
+#include "util/decimal.h"
 #include "util/rng.h"
 
 namespace popp::serve {
@@ -27,7 +27,6 @@ struct OpOptions {
   PiecewiseOptions transform;
   uint64_t seed = 1;
   ExecPolicy exec;
-  bool use_compiled = true;
   size_t trials = 31;
   std::string save_path;
   /// Parsed for validation only: the server anchors the deadline at frame
@@ -46,8 +45,17 @@ Result<OpOptions> ParseOptions(const std::string& text,
     const std::string key = line.substr(0, space);
     const std::string value =
         space == std::string::npos ? "" : line.substr(space + 1);
+    // Numeric options take whole unsigned decimal text, like CLI flags.
+    uint64_t number = 0;
+    const bool numeric = ParseDecimalU64(value, &number);
+    const auto not_a_number = [&] {
+      return Status::InvalidArgument("request option '" + key +
+                                     "' needs an unsigned decimal integer, "
+                                     "got '" + value + "'");
+    };
     if (key == "seed") {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!numeric) return not_a_number();
+      options.seed = number;
     } else if (key == "policy") {
       if (value == "none") {
         options.transform.policy = BreakpointPolicy::kNone;
@@ -59,28 +67,27 @@ Result<OpOptions> ParseOptions(const std::string& text,
         return Status::InvalidArgument("unknown policy '" + value + "'");
       }
     } else if (key == "breakpoints") {
-      options.transform.min_breakpoints =
-          std::strtoull(value.c_str(), nullptr, 10);
+      if (!numeric) return not_a_number();
+      options.transform.min_breakpoints = number;
     } else if (key == "anti") {
       options.transform.global_anti_monotone = true;
     } else if (key == "threads") {
+      if (!numeric) return not_a_number();
       // 0 keeps the CLI's documented meaning — all hardware threads —
       // and then the serve-side ceiling applies exactly as it does to an
       // explicit count. The released bytes do not depend on the choice.
-      const size_t requested = std::strtoull(value.c_str(), nullptr, 10);
-      const size_t resolved = requested == 0
-                                  ? ExecPolicy::Hardware().ResolvedThreads()
-                                  : requested;
-      options.exec.num_threads = std::min(
-          std::max<size_t>(resolved, 1), config.max_request_threads);
-    } else if (key == "no-compiled") {
-      options.use_compiled = false;
+      const uint64_t resolved =
+          number == 0 ? ExecPolicy::Hardware().ResolvedThreads() : number;
+      options.exec.num_threads = static_cast<size_t>(
+          std::min<uint64_t>(resolved, config.max_request_threads));
     } else if (key == "trials") {
-      options.trials = std::strtoull(value.c_str(), nullptr, 10);
+      if (!numeric) return not_a_number();
+      options.trials = number;
     } else if (key == "save") {
       options.save_path = value;
     } else if (key == "deadline-ms") {
-      options.deadline_ms = std::strtoull(value.c_str(), nullptr, 10);
+      if (!numeric) return not_a_number();
+      options.deadline_ms = number;
     } else {
       return Status::InvalidArgument("unknown request option '" + key + "'");
     }
@@ -245,9 +252,7 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
     return *late;
   }
   const Dataset released =
-      options.value().use_compiled
-          ? cached->compiled.EncodeDataset(data.value(), options.value().exec)
-          : cached->plan.EncodeDataset(data.value(), options.value().exec);
+      cached->compiled.EncodeDataset(data.value(), options.value().exec);
   // The reply mirrors the request framing: a popp-cols request gets a
   // popp-cols release (the binary container is ~50x cheaper to serialize
   // than CSV, which is where warm-request latency goes otherwise); a CSV
@@ -314,7 +319,6 @@ ReplyBody OpVerify(Workspace& workspace, const RequestBody& request,
   custodian_options.seed = options.value().seed;
   custodian_options.transform = options.value().transform;
   custodian_options.exec = options.value().exec;
-  custodian_options.use_compiled = options.value().use_compiled;
   const Custodian custodian(std::move(data).value(), custodian_options);
   std::string detail;
   const bool ok = custodian.VerifyNoOutcomeChange(&detail);
@@ -342,7 +346,6 @@ ReplyBody OpRisk(Workspace& workspace, const RequestBody& request,
   custodian_options.seed = options.value().seed;
   custodian_options.transform = options.value().transform;
   custodian_options.exec = options.value().exec;
-  custodian_options.use_compiled = options.value().use_compiled;
   const Custodian custodian(std::move(data).value(), custodian_options);
   ReportOptions report_options;
   report_options.num_trials = options.value().trials;
@@ -407,11 +410,10 @@ uint64_t ExtractDeadlineMs(const std::string& options_text) {
     if (end == std::string::npos) end = options_text.size();
     const std::string_view line(options_text.data() + pos, end - pos);
     constexpr std::string_view kKey = "deadline-ms ";
-    if (line.size() > kKey.size() && line.substr(0, kKey.size()) == kKey) {
-      const std::string value(line.substr(kKey.size()));
-      char* stop = nullptr;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &stop, 10);
-      if (stop != value.c_str()) return static_cast<uint64_t>(parsed);
+    uint64_t parsed = 0;
+    if (line.substr(0, kKey.size()) == kKey &&
+        ParseDecimalU64(line.substr(kKey.size()), &parsed)) {
+      return parsed;
     }
     pos = end + 1;
   }

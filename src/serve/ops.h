@@ -16,7 +16,10 @@
 /// connection loop never grows a switch).
 ///
 /// Every dataset-carrying op shares the same request shape
-/// (protocol.h `RequestBody`) and the same option vocabulary:
+/// (protocol.h `RequestBody`) and the same option vocabulary, one
+/// `key value` per line. An unknown key, or a numeric value that is not
+/// whole unsigned decimal text (`seed 3x`, `seed -1`), is refused with
+/// kInvalidArgument:
 ///
 ///   seed N          encoding seed                      (default 1)
 ///   policy P        none | bp | maxmp                  (default maxmp)
@@ -25,7 +28,6 @@
 ///   threads N       ExecPolicy for this request        (default 1; 0 =
 ///                   all hardware threads, as in the CLI; either way
 ///                   capped by the server's max_request_threads)
-///   no-compiled     force the interpreted encode path
 ///   trials N        risk-report trials                 (risk; default 31)
 ///   deadline-ms N   relative deadline for this request. The server
 ///                   anchors it at frame receipt against its own steady
@@ -96,7 +98,8 @@ ReplyBody DispatchOp(Tag tag, Workspace& workspace, const RequestBody& request,
 
 /// Pre-admission peek at a request's "deadline-ms" option (the full parse
 /// happens later, inside the op, after admission): returns the relative
-/// deadline in ms, or UINT64_MAX when the request carries none.
+/// deadline in ms, or UINT64_MAX when the request carries none or a
+/// malformed one (which the op's parse then refuses).
 uint64_t ExtractDeadlineMs(const std::string& options_text);
 
 }  // namespace popp::serve

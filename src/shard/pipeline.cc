@@ -65,7 +65,6 @@ stream::StreamOptions WorkerStreamOptions(const ShardOptions& options,
   so.transform = options.transform;
   so.seed = options.seed;
   so.exec = exec;
-  so.use_compiled = options.use_compiled;
   return so;
 }
 

@@ -51,7 +51,6 @@ struct ShardOptions {
   /// exact single-process path); with more, shards are the unit of
   /// parallelism. Output bits never depend on it.
   ExecPolicy exec;
-  bool use_compiled = true;
   /// Resume per-shard from surviving journals instead of starting over.
   bool resume = false;
   /// Input format (kAuto sniffs once, up front).

@@ -1,9 +1,5 @@
 #include "stream/ood_policy.h"
 
-#include <algorithm>
-
-#include "transform/compiled.h"
-
 namespace popp::stream {
 
 std::string ToString(OodPolicy policy) {
@@ -28,22 +24,6 @@ Result<OodPolicy> ParseOodPolicy(const std::string& text) {
   return Status::InvalidArgument(
       "unknown --ood-policy '" + text +
       "' (expected reject, clamp, extend-piece or refit)");
-}
-
-DomainHull FittedHull(const PiecewiseTransform& t) {
-  POPP_CHECK_MSG(t.NumPieces() > 0, "FittedHull on empty transform");
-  return DomainHull{t.piece(0).domain_lo,
-                    t.piece(t.NumPieces() - 1).domain_hi};
-}
-
-AttrValue EncodeClamped(const PiecewiseTransform& t, AttrValue x) {
-  return OodEncodeClamped(DomainBounds::Of(t), x,
-                          [&t](AttrValue v) { return t.Apply(v); });
-}
-
-AttrValue EncodeExtended(const PiecewiseTransform& t, AttrValue x) {
-  return OodEncodeExtended(DomainBounds::Of(t), x,
-                           [&t](AttrValue v) { return t.Apply(v); });
 }
 
 }  // namespace popp::stream

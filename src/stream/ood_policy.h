@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "transform/piecewise.h"
 #include "util/status.h"
 
 /// \file
@@ -25,6 +24,9 @@
 ///
 /// The two-pass streamed fit sees every value before encoding, so none of
 /// these trigger there; they exist for the prefix-fit and loaded-plan modes.
+/// The fitted hull is DomainBounds (transform/compiled.h); the clamp and
+/// extend-piece encoders are CompiledTransform::EncodeClamped and
+/// EncodeExtended.
 
 namespace popp::stream {
 
@@ -40,30 +42,6 @@ std::string ToString(OodPolicy policy);
 
 /// Parses the CLI spelling (as produced by ToString).
 Result<OodPolicy> ParseOodPolicy(const std::string& text);
-
-/// The fitted active-domain hull [lo, hi] of one attribute's transform.
-struct DomainHull {
-  AttrValue lo = 0;
-  AttrValue hi = 0;
-
-  bool Contains(AttrValue x) const { return x >= lo && x <= hi; }
-};
-
-/// Hull of a fitted transform (pieces are in domain order).
-DomainHull FittedHull(const PiecewiseTransform& t);
-
-/// Encodes an out-of-hull value under kClamp: the image of the nearest
-/// hull endpoint. Thin wrapper over the single OOD semantics implementation
-/// (OodEncodeClamped in transform/compiled.h), shared with the compiled
-/// kernels.
-AttrValue EncodeClamped(const PiecewiseTransform& t, AttrValue x);
-
-/// Encodes an out-of-hull value under kExtendPiece: linear extrapolation
-/// beyond the output hull, sloped like the aggregate transform and aimed in
-/// the global direction, so order against every in-domain image is exactly
-/// what the global invariant promises. Thin wrapper over OodEncodeExtended
-/// (transform/compiled.h), shared with the compiled kernels.
-AttrValue EncodeExtended(const PiecewiseTransform& t, AttrValue x);
 
 }  // namespace popp::stream
 

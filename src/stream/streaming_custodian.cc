@@ -34,7 +34,7 @@ struct AttrScan {
 };
 
 std::string RejectMessage(const Schema& schema, size_t attr, AttrValue x,
-                          const DomainHull& hull, size_t stream_row) {
+                          const DomainBounds& hull, size_t stream_row) {
   std::ostringstream oss;
   oss << "out-of-domain value at stream row " << stream_row << ": attribute '"
       << schema.AttributeName(attr) << "' = " << FormatCsvCell(x)
@@ -45,24 +45,19 @@ std::string RejectMessage(const Schema& schema, size_t attr, AttrValue x,
   return oss.str();
 }
 
-/// Encodes one chunk in place, through the compiled kernels when
-/// `compiled` is non-null (bit-identical either way). Returns the
+/// Encodes one chunk in place through the compiled kernels. Returns the
 /// lexicographically first (row, attribute) rejection if the policy is
 /// kReject and the chunk holds out-of-domain values.
-Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
-                   const CompiledPlan* compiled, OodPolicy policy,
-                   const ExecPolicy& exec, size_t rows_before,
-                   StreamStats* stats) {
-  const size_t num_attrs = plan.NumAttributes();
+Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
+                   OodPolicy policy, const ExecPolicy& exec,
+                   size_t rows_before, StreamStats* stats) {
+  const size_t num_attrs = compiled.NumAttributes();
   std::vector<AttrScan> scans(num_attrs);
   ParallelFor(exec, num_attrs, [&](size_t attr) {
     AttrScan& scan = scans[attr];
-    const PiecewiseTransform& t = plan.transform(attr);
-    const CompiledTransform* ct =
-        compiled != nullptr ? &compiled->transform(attr) : nullptr;
-    const DomainHull hull = ct != nullptr
-                                ? DomainHull{ct->bounds().lo, ct->bounds().hi}
-                                : FittedHull(t);
+    const CompiledTransform& ct = compiled.transform(attr);
+    // A copy, so the stores to col[r] below cannot alias the bounds.
+    const DomainBounds hull = ct.bounds();
     auto& col = chunk->MutableColumn(attr);
     for (size_t r = 0; r < col.size(); ++r) {
       const AttrValue x = col[r];
@@ -77,11 +72,10 @@ Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
             }
             continue;
           case OodPolicy::kClamp:
-            col[r] = ct != nullptr ? ct->EncodeClamped(x) : EncodeClamped(t, x);
+            col[r] = ct.EncodeClamped(x);
             continue;
           case OodPolicy::kExtendPiece:
-            col[r] =
-                ct != nullptr ? ct->EncodeExtended(x) : EncodeExtended(t, x);
+            col[r] = ct.EncodeExtended(x);
             continue;
           case OodPolicy::kRefit:
             // Unreachable: the refit path re-fits the plan on a summary
@@ -90,7 +84,7 @@ Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
             break;
         }
       }
-      col[r] = ct != nullptr ? ct->Apply(x) : t.Apply(x);
+      col[r] = ct.Apply(x);
     }
   });
   // Serial merge in fixed order; under kReject report the first offending
@@ -113,21 +107,15 @@ Status EncodeChunk(Dataset* chunk, const TransformPlan& plan,
   return Status::Ok();
 }
 
-/// Whether any value of `chunk` falls outside its attribute's fitted hull.
-bool ChunkHasOod(const Dataset& chunk, const TransformPlan& plan,
-                 const ExecPolicy& exec) {
-  const size_t num_attrs = plan.NumAttributes();
-  std::vector<uint8_t> ood(num_attrs, 0);
-  ParallelFor(exec, num_attrs, [&](size_t attr) {
-    const DomainHull hull = FittedHull(plan.transform(attr));
-    for (const AttrValue x : chunk.Column(attr)) {
-      if (!hull.Contains(x)) {
-        ood[attr] = 1;
-        return;
-      }
-    }
+/// Out-of-hull values of `chunk` per attribute under `compiled`.
+std::vector<size_t> CountOod(const Dataset& chunk, const CompiledPlan& compiled,
+                             const ExecPolicy& exec) {
+  std::vector<size_t> ood(compiled.NumAttributes(), 0);
+  ParallelFor(exec, ood.size(), [&](size_t attr) {
+    const DomainBounds& hull = compiled.transform(attr).bounds();
+    for (const AttrValue x : chunk.Column(attr)) ood[attr] += !hull.Contains(x);
   });
-  return std::any_of(ood.begin(), ood.end(), [](uint8_t b) { return b != 0; });
+  return ood;
 }
 
 /// The encode pass: read, (refit), encode, append — chunk by chunk.
@@ -140,11 +128,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
   size_t chunk_index = 0;
   std::unique_ptr<IncrementalSummary> running;  // kRefit only
   size_t rows_before = 0;
-  CompiledPlan compiled;
-  if (options.use_compiled) {
-    compiled = CompiledPlan::Compile(plan);
-  }
-  const CompiledPlan* cp = options.use_compiled ? &compiled : nullptr;
+  CompiledPlan compiled = CompiledPlan::Compile(plan);
   for (;;) {
     const auto encode_start = Clock::now();
     Result<Dataset> next = reader.NextChunk(options.chunk_rows);
@@ -176,28 +160,22 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
             std::make_unique<IncrementalSummary>(chunk.NumAttributes());
       }
       running->Absorb(chunk);
-      if (ChunkHasOod(chunk, plan, options.exec)) {
+      const std::vector<size_t> ood = CountOod(chunk, compiled, options.exec);
+      if (std::any_of(ood.begin(), ood.end(), [](size_t n) { return n > 0; })) {
         // Count the chunk's out-of-domain hits against the *old* plan,
         // then refit deterministically from everything seen so far (the
         // absorbed summary includes this chunk, so the new hull covers it).
         if (stats != nullptr) {
-          for (size_t attr = 0; attr < plan.NumAttributes(); ++attr) {
-            const DomainHull hull = FittedHull(plan.transform(attr));
-            for (const AttrValue x : chunk.Column(attr)) {
-              if (!hull.Contains(x)) {
-                stats->ood_total++;
-                stats->ood_by_attribute[attr]++;
-              }
-            }
+          for (size_t attr = 0; attr < ood.size(); ++attr) {
+            stats->ood_total += ood[attr];
+            stats->ood_by_attribute[attr] += ood[attr];
           }
         }
         const auto fit_start = Clock::now();
         Rng rng(options.seed);
         plan = TransformPlan::CreateFromSummaries(
             running->SummarizeAll(), options.transform, rng, options.exec);
-        if (options.use_compiled) {
-          compiled = CompiledPlan::Compile(plan);
-        }
+        compiled = CompiledPlan::Compile(plan);
         if (stats != nullptr) {
           stats->refits++;
           stats->fit_seconds += SecondsSince(fit_start);
@@ -217,7 +195,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
       rows_before += chunk.NumRows();
       continue;
     }
-    POPP_RETURN_IF_ERROR(EncodeChunk(&chunk, plan, cp, options.ood_policy,
+    POPP_RETURN_IF_ERROR(EncodeChunk(&chunk, compiled, options.ood_policy,
                                      options.exec, rows_before, stats));
     ++chunk_index;
     rows_before += chunk.NumRows();

@@ -48,10 +48,6 @@ struct StreamOptions {
   /// Thread policy for the fit and the per-chunk encode. Any thread count
   /// produces bit-identical output (PR 2 determinism contract).
   ExecPolicy exec;
-
-  /// Encode chunks through the compiled kernels (bit-identical to the
-  /// interpreted path; `--no-compiled` flips this off for A/B debugging).
-  bool use_compiled = true;
 };
 
 /// Observability of one streamed release.

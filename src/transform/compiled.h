@@ -130,8 +130,9 @@ class CompiledTransform {
   /// In-place convenience overload.
   void ApplyColumn(std::vector<AttrValue>& values) const;
 
-  /// Shared OOD semantics over the compiled bounds; bit-identical to
-  /// stream::EncodeClamped / stream::EncodeExtended on the source transform.
+  /// Shared OOD semantics over the compiled bounds; bit-identical to the
+  /// interpreted references check::ReferenceEncodeClamped /
+  /// ReferenceEncodeExtended on the source transform.
   AttrValue EncodeClamped(AttrValue x) const;
   AttrValue EncodeExtended(AttrValue x) const;
 

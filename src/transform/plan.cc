@@ -76,21 +76,16 @@ AttrValue TransformPlan::Decode(size_t attr, AttrValue v) const {
   return transform(attr).Inverse(v);
 }
 
-Dataset TransformPlan::EncodeDataset(const Dataset& data,
-                                     const ExecPolicy& exec) const {
+Dataset TransformPlan::EncodeDataset(const Dataset& data) const {
   POPP_CHECK_MSG(data.NumAttributes() == transforms_.size(),
                  "plan/dataset attribute count mismatch");
-  const size_t rows = data.NumRows();
   std::vector<std::vector<AttrValue>> columns(transforms_.size());
-  ParallelFor(exec, transforms_.size(), [&](size_t attr) {
-    const std::vector<AttrValue>& in = data.Column(attr);
+  for (size_t attr = 0; attr < transforms_.size(); ++attr) {
     const PiecewiseTransform& f = transforms_[attr];
-    std::vector<AttrValue> out(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      out[r] = f.Apply(in[r]);
-    }
-    columns[attr] = std::move(out);
-  });
+    std::vector<AttrValue>& out = columns[attr];
+    out.reserve(data.NumRows());
+    for (AttrValue x : data.Column(attr)) out.push_back(f.Apply(x));
+  }
   return Dataset(data.schema(), std::move(columns), data.labels());
 }
 

@@ -63,11 +63,11 @@ class TransformPlan {
   AttrValue Decode(size_t attr, AttrValue v) const;
 
   /// Produces D': every attribute column transformed, labels unchanged.
-  /// `data` must have the same number of attributes as the plan.
-  /// Attributes are encoded under `exec` (serial by default) into freshly
-  /// allocated columns (no copy-then-overwrite); the output is
-  /// bit-identical at every thread count.
-  Dataset EncodeDataset(const Dataset& data, const ExecPolicy& exec = {}) const;
+  /// `data` must have the same number of attributes as the plan. This is
+  /// the interpreted reference encode, run serially; every release path
+  /// encodes through the bit-identical CompiledPlan::EncodeDataset
+  /// (transform/compiled.h).
+  Dataset EncodeDataset(const Dataset& data) const;
 
   /// Renders the decoding key the custodian stores: per attribute, the
   /// breakpoints and the function used in each piece (Section 5.4 notes

@@ -18,8 +18,8 @@ namespace {
 /// Nodes smaller than this search their splits serially even when a pool
 /// is available: the per-task overhead would exceed the scan work, and —
 /// because parallel and serial scans are bit-identical by construction —
-/// the gate cannot change any result. (Recursive engines only; the
-/// frontier engine batches small nodes into level-wide work lists.)
+/// the gate cannot change any result. (kResort only; the frontier engine
+/// batches small nodes into level-wide work lists.)
 constexpr size_t kMinRowsForParallelScan = 2048;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -242,8 +242,8 @@ ClassId MajorityClass(const std::vector<uint64_t>& hist) {
 /// The frontier engine's split scan: evaluates one attribute's candidates
 /// and fills `best` with the winner (left untouched when no feasible
 /// candidate exists). Must stay bit-identical to ScanAttributeReference —
-/// the straightforward eager scan the recursive engines run — which the
-/// cross-engine equality tests enforce tree by tree.
+/// the straightforward eager scan kResort runs — which the cross-engine
+/// equality tests and the frontier_vs_resort oracle enforce tree by tree.
 ///
 /// Tie-breaking: lower badness wins; among exact ties, lower attribute
 /// index (applied by MergeAttributeBests), then lower *canonical* boundary
@@ -380,11 +380,11 @@ void DecisionTreeBuilder::ScanAttribute(
                                       ws.best_left, ws.right);
 }
 
-/// Reference split scan, used by the recursive engines: materializes the
-/// candidate list and the block structure up front and compares canonical
-/// positions eagerly on every exact badness tie. This is the pre-frontier
-/// implementation, kept deliberately: the recursive engines are the
-/// oracle the frontier is byte-compared against, so their scan stays the
+/// Reference split scan, used by kResort: materializes the candidate list
+/// and the block structure up front and compares canonical positions
+/// eagerly on every exact badness tie. This is the pre-frontier
+/// implementation, kept deliberately: kResort is the oracle the frontier
+/// is byte-compared against, so its scan stays the
 /// straightforward one — two independently structured scans agreeing on
 /// every tree is a far stronger check than one scan agreeing with itself.
 /// It is also what the benchmark's engine-over-engine tree speedup is
@@ -531,67 +531,6 @@ NodeId DecisionTreeBuilder::BuildNode(const Dataset& data,
                           std::move(hist));
 }
 
-NodeId DecisionTreeBuilder::BuildNodePresorted(
-    const Dataset& data, std::vector<std::vector<size_t>>& columns,
-    size_t depth, DecisionTree& tree, ThreadPool* pool) const {
-  // All columns hold the same row set; use column 0 for node statistics.
-  const std::vector<size_t>& rows = columns[0];
-  std::vector<uint64_t> hist = HistogramOf(data, rows);
-  const ClassId majority = MajorityClass(hist);
-
-  if (IsPure(hist) || rows.size() < options_.min_split_size ||
-      depth >= options_.max_depth) {
-    return tree.AddLeaf(majority, std::move(hist));
-  }
-
-  // Best-split search over the presorted columns: each attribute's
-  // summary is a single linear scan, no sorting. Attributes scan into
-  // index-addressed local bests (possibly on the pool) and merge serially
-  // in attribute order — bit-identical to the serial scan.
-  ThreadPool* scan_pool =
-      rows.size() >= kMinRowsForParallelScan ? pool : nullptr;
-  std::vector<SplitDecision> locals(data.NumAttributes());
-  ParallelFor(scan_pool, data.NumAttributes(), [&](size_t attr) {
-    std::vector<ValueLabel> tuples;
-    tuples.reserve(rows.size());
-    const auto& col = data.Column(attr);
-    for (size_t r : columns[attr]) {
-      tuples.push_back(ValueLabel{col[r], data.Label(r)});
-    }
-    const AttributeSummary summary =
-        AttributeSummary::FromSortedTuples(tuples, data.NumClasses());
-    ScanAttributeReference(attr, summary, hist, locals[attr]);
-  });
-  const SplitDecision best = MergeAttributeBests(locals.data(), locals.size());
-  if (!best.found || !(best.improvement > options_.min_impurity_decrease)) {
-    return tree.AddLeaf(majority, std::move(hist));
-  }
-
-  // Partition every attribute's sorted list, preserving order.
-  const auto& split_col = data.Column(best.attribute);
-  std::vector<std::vector<size_t>> left_columns(columns.size());
-  std::vector<std::vector<size_t>> right_columns(columns.size());
-  for (size_t attr = 0; attr < columns.size(); ++attr) {
-    for (size_t r : columns[attr]) {
-      (split_col[r] <= best.left_max ? left_columns[attr]
-                                     : right_columns[attr])
-          .push_back(r);
-    }
-    columns[attr].clear();
-    columns[attr].shrink_to_fit();
-  }
-  POPP_CHECK(!left_columns[0].empty() && !right_columns[0].empty());
-  columns.clear();
-  columns.shrink_to_fit();
-
-  const NodeId left =
-      BuildNodePresorted(data, left_columns, depth + 1, tree, pool);
-  const NodeId right =
-      BuildNodePresorted(data, right_columns, depth + 1, tree, pool);
-  return tree.AddInternal(best.attribute, best.threshold, left, right,
-                          std::move(hist));
-}
-
 namespace {
 
 constexpr size_t kNoRecord = static_cast<size_t>(-1);
@@ -608,12 +547,12 @@ constexpr uint32_t kNoOrdinal = static_cast<uint32_t>(-1);
 /// function of the slice size — independent of thread count and
 /// scheduling — and the solver runs the same summary, scan and stable
 /// partition logic the frontier does, so the emitted tree is bit for bit
-/// the one the frontier (and the recursive engines) would build.
+/// the one the frontier (and kResort) would build.
 constexpr size_t kSubtreeRows = 2048;
 
 /// One node of the breadth-first build graph. Records are created level by
 /// level; children are record indices. The finished graph is emitted into
-/// the DecisionTree arena in the recursive builders' exact post-order, so
+/// the DecisionTree arena in the recursive builder's exact post-order, so
 /// node ids — and therefore serialized trees and golden fixtures — are
 /// unchanged by the frontier rework.
 struct BuildRecord {
@@ -738,7 +677,7 @@ void DecisionTreeBuilder::BuildFrontier(const Dataset& data, ThreadPool* pool,
     // Phase 1 — the leaf gate. Every record already carries its class
     // histogram — the root's from one scan, children's from the mark
     // phase — so the gate is a serial O(classes)-per-node pass, identical
-    // in order and criteria to the recursive builders.
+    // in order and criteria to the recursive builder.
     t0 = Clock::now();
     open.clear();
     subtree_roots.clear();
@@ -1300,7 +1239,7 @@ void DecisionTreeBuilder::BuildFrontier(const Dataset& data, ThreadPool* pool,
   }
 
   // Emission: iterative post-order — left subtree fully, then right, then
-  // the parent — which is exactly the recursive builders' AddLeaf /
+  // the parent — which is exactly the recursive builder's AddLeaf /
   // AddInternal call sequence, so node ids and serialized bytes match.
   t0 = Clock::now();
   struct Frame {
@@ -1370,26 +1309,9 @@ DecisionTree DecisionTreeBuilder::Build(const Dataset& data,
         std::min(exec_.ResolvedThreads(), data.NumAttributes()));
   }
 
-  if (options_.algorithm == BuildOptions::Algorithm::kResort) {
-    std::vector<size_t> rows(data.NumRows());
-    for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-    tree.SetRoot(BuildNode(data, rows, 0, tree, pool.get()));
-    return tree;
-  }
-
-  // Presorted: one stable sort per attribute, ever. Stability matches the
-  // canonical tie order of Dataset::SortedProjection, so both algorithms
-  // see identical summaries and produce bit-identical trees.
-  std::vector<std::vector<size_t>> columns(data.NumAttributes());
-  for (size_t attr = 0; attr < data.NumAttributes(); ++attr) {
-    auto& order = columns[attr];
-    order.resize(data.NumRows());
-    for (size_t r = 0; r < order.size(); ++r) order[r] = r;
-    const auto& col = data.Column(attr);
-    std::stable_sort(order.begin(), order.end(),
-                     [&col](size_t a, size_t b) { return col[a] < col[b]; });
-  }
-  tree.SetRoot(BuildNodePresorted(data, columns, 0, tree, pool.get()));
+  std::vector<size_t> rows(data.NumRows());
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  tree.SetRoot(BuildNode(data, rows, 0, tree, pool.get()));
   return tree;
 }
 

@@ -104,4 +104,10 @@ std::string FormatDouble17(double v) {
   return std::string(buf, FormatDouble17(v, buf));
 }
 
+bool ParseDecimalU64(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace popp

@@ -2,7 +2,9 @@
 #define POPP_UTIL_DECIMAL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 /// \file
 /// Exact decimal text for binary64 values: the "%.17g" that every popp
@@ -27,6 +29,11 @@ char* FormatDouble17(double v, char* out);
 
 /// FormatDouble17 as a string.
 std::string FormatDouble17(double v);
+
+/// Reads `text` as an unsigned decimal integer that fits in 64 bits: one
+/// or more ASCII digits and nothing else (no sign, space or suffix). The
+/// number rule of every `popp` flag and popp-serve option.
+bool ParseDecimalU64(std::string_view text, uint64_t* out);
 
 }  // namespace popp
 

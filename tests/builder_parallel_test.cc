@@ -208,9 +208,9 @@ TEST(BuilderParallel, CovtypeLikeDeepTreeSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way algorithm equality under parallel execution: the frontier
-// engine must match both recursive engines bit for bit at every thread
-// count, not just serially.
+// Algorithm equality under parallel execution: the frontier engine must
+// match the kResort reference bit for bit at every thread count, not just
+// serially.
 
 TEST(BuilderParallel, AllAlgorithmsAgreeAtEveryThreadCount) {
   Rng rng(31);
@@ -220,7 +220,6 @@ TEST(BuilderParallel, AllAlgorithmsAgreeAtEveryThreadCount) {
   const std::string expected =
       SerializeTree(DecisionTreeBuilder(reference).Build(d));
   for (auto algorithm : {BuildOptions::Algorithm::kResort,
-                         BuildOptions::Algorithm::kPresorted,
                          BuildOptions::Algorithm::kFrontier}) {
     BuildOptions options;
     options.algorithm = algorithm;

@@ -86,6 +86,64 @@ TEST(CliBasicsTest, BadFlagValueReported) {
   EXPECT_NE(r.err.find("unknown --criterion"), std::string::npos);
 }
 
+TEST(CliBasicsTest, UnknownFlagsAreUsageErrors) {
+  // Flags are checked before any file is opened: in.csv need not exist.
+  for (const std::string flag : {"--no-compiled", "--bogus",
+                                 "--ood-polcy=clamp", "--chunk-rows=5"}) {
+    const CliResult r =
+        RunPopp({"encode", "in.csv", "out.csv", "k.key", flag});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find("unknown flag " + flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(CliBasicsTest, NumericFlagsMustBeWholeUnsignedDecimals) {
+  for (const std::string bad : {"3x", "-1", "", " 3", "+3", "0x10",
+                                "18446744073709551616"}) {
+    const CliResult r =
+        RunPopp({"encode", "in.csv", "out.csv", "k.key", "--seed", bad});
+    EXPECT_EQ(r.code, 2) << "'" << bad << "'";
+    EXPECT_NE(r.err.find("--seed needs an unsigned decimal integer"),
+              std::string::npos)
+        << r.err;
+  }
+  const CliResult chunk = RunPopp({"stream-release", "in.csv", "out.csv",
+                                   "k.key", "--chunk-rows", "2abc"});
+  EXPECT_EQ(chunk.code, 2);
+  EXPECT_NE(chunk.err.find("'2abc'"), std::string::npos) << chunk.err;
+  EXPECT_EQ(RunPopp({"mine", "in.csv", "t.tree", "--max-depth=4.5"}).code, 2);
+}
+
+TEST(CliBasicsTest, SwitchesTakeNoValueAndValueFlagsNeedOne) {
+  const CliResult anti =
+      RunPopp({"encode", "in.csv", "out.csv", "k.key", "--anti=1"});
+  EXPECT_EQ(anti.code, 2);
+  EXPECT_NE(anti.err.find("--anti takes no value"), std::string::npos)
+      << anti.err;
+  const CliResult seed =
+      RunPopp({"encode", "in.csv", "out.csv", "k.key", "--seed"});
+  EXPECT_EQ(seed.code, 2);
+  EXPECT_NE(seed.err.find("--seed needs a value"), std::string::npos)
+      << seed.err;
+}
+
+TEST_F(CliTest, SeedSpellingsReleaseTheSameBytes) {
+  // --seed=N and --seed N are one flag; the largest u64 seed is accepted.
+  const std::string a = TempPath("spell_a.csv");
+  const std::string b = TempPath("spell_b.csv");
+  ASSERT_EQ(RunPopp({"encode", csv_path_, a, TempPath("spell_a.key"),
+                     "--seed", "18446744073709551615"})
+                .code,
+            0);
+  ASSERT_EQ(RunPopp({"encode", csv_path_, b, TempPath("spell_b.key"),
+                     "--seed=18446744073709551615"})
+                .code,
+            0);
+  EXPECT_TRUE(ReadCsv(a).value() == ReadCsv(b).value());
+}
+
 TEST_F(CliTest, VerifyPasses) {
   const CliResult r = RunPopp({"verify", csv_path_, "--seed", "9"});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -121,35 +179,6 @@ TEST_F(CliTest, FullEncodeMineDecodePipeline) {
   ASSERT_TRUE(direct_tree.ok());
   EXPECT_TRUE(ExactlyEqual(direct_tree.value(), decoded_tree.value()))
       << DescribeDifference(direct_tree.value(), decoded_tree.value());
-}
-
-TEST_F(CliTest, NoCompiledFlagProducesIdenticalRelease) {
-  // --no-compiled switches encode to the interpreted path; the compiled
-  // kernels are bit-identical, so both releases must match byte for byte.
-  const std::string compiled_csv = TempPath("rel_compiled.csv");
-  const std::string compiled_key = TempPath("rel_compiled.key");
-  const std::string interp_csv = TempPath("rel_interp.csv");
-  const std::string interp_key = TempPath("rel_interp.key");
-  ASSERT_EQ(RunPopp({"encode", csv_path_, compiled_csv, compiled_key,
-                     "--seed", "11"})
-                .code,
-            0);
-  const CliResult r = RunPopp({"encode", csv_path_, interp_csv, interp_key,
-                               "--seed", "11", "--no-compiled"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream s;
-    s << in.rdbuf();
-    return s.str();
-  };
-  EXPECT_EQ(slurp(compiled_csv), slurp(interp_csv));
-  EXPECT_EQ(slurp(compiled_key), slurp(interp_key));
-
-  // The flag is also accepted by verify.
-  const CliResult v =
-      RunPopp({"verify", csv_path_, "--seed", "9", "--no-compiled"});
-  EXPECT_EQ(v.code, 0) << v.err;
 }
 
 TEST_F(CliTest, EncodedCsvDiffersEverywhere) {

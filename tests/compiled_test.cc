@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "check/oracles.h"
 #include "data/csv.h"
 #include "data/summary.h"
 #include "stream/chunk_io.h"
@@ -210,79 +211,88 @@ TEST(CompiledTransformTest, OodEncodersMatchStreamHelpers) {
     const PiecewiseTransform t =
         PiecewiseTransform::Create(summary, options, rng);
     const CompiledTransform compiled = CompiledTransform::Compile(t);
-    const stream::DomainHull hull = stream::FittedHull(t);
+    const DomainBounds hull = DomainBounds::Of(t);
     EXPECT_EQ(compiled.bounds().lo, hull.lo);
     EXPECT_EQ(compiled.bounds().hi, hull.hi);
     for (AttrValue x : {hull.lo - 100.0, hull.lo - 0.5, hull.lo,
                         0.5 * (hull.lo + hull.hi), hull.hi, hull.hi + 0.5,
                         hull.hi + 100.0}) {
-      EXPECT_TRUE(BitEqual(stream::EncodeClamped(t, x),
+      EXPECT_TRUE(BitEqual(check::ReferenceEncodeClamped(t, x),
                            compiled.EncodeClamped(x)))
           << "clamp x=" << x << " anti=" << global_anti;
-      EXPECT_TRUE(BitEqual(stream::EncodeExtended(t, x),
+      EXPECT_TRUE(BitEqual(check::ReferenceEncodeExtended(t, x),
                            compiled.EncodeExtended(x)))
           << "extend x=" << x << " anti=" << global_anti;
     }
   }
 }
 
-/// Per-policy regression: the streamed release through the compiled
-/// kernels is byte-identical to the interpreted streamed release. (The
-/// OOD semantics live in one shared implementation either way.)
+/// Per-policy regression: every cell of a streamed release through the
+/// compiled kernels is bit-identical to the interpreted reference built
+/// from the plan in force — PiecewiseTransform::Apply inside the fitted
+/// hull, the reference OOD encoders outside it.
 TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
+  constexpr size_t kPrefixRows = 60;
   Dataset d({"x", "y"}, {"a", "b"});
-  for (int i = 0; i < 60; ++i) {
-    d.AddRow({static_cast<AttrValue>(10 + i % 20),
-              static_cast<AttrValue>(5 + (i * 7) % 11)},
-             i % 2);
+  Dataset prefix({"x", "y"}, {"a", "b"});
+  for (size_t i = 0; i < kPrefixRows; ++i) {
+    const std::vector<AttrValue> row = {static_cast<AttrValue>(10 + i % 20),
+                                        static_cast<AttrValue>(5 + (i * 7) % 11)};
+    d.AddRow(row, static_cast<ClassId>(i % 2));
+    prefix.AddRow(row, static_cast<ClassId>(i % 2));
   }
   d.AddRow({120, 7}, 0);   // beyond the prefix hull
   d.AddRow({-40, 8}, 1);
   d.AddRow({121, 9}, 0);
+  // The prefix fit, which encodes every chunk before kRefit's first refit.
+  Rng prefix_rng(5);
+  const TransformPlan prefix_plan =
+      TransformPlan::Create(prefix, PiecewiseOptions{}, prefix_rng);
+
+  stream::StreamOptions options;
+  options.chunk_rows = 10;
+  options.fit_rows = kPrefixRows;
+  options.seed = 5;
   for (const stream::OodPolicy policy :
        {stream::OodPolicy::kClamp, stream::OodPolicy::kExtendPiece,
         stream::OodPolicy::kRefit}) {
-    stream::StreamOptions options;
-    options.chunk_rows = 10;
-    options.fit_rows = 60;
     options.ood_policy = policy;
-    options.seed = 5;
-
-    stream::DatasetChunkReader interp_reader(&d);
-    stream::DatasetChunkWriter interp_writer;
-    options.use_compiled = false;
-    auto interp = stream::StreamingCustodian::Release(
-        interp_reader, interp_writer, options);
-    ASSERT_TRUE(interp.ok()) << interp.status().ToString();
-
-    stream::DatasetChunkReader comp_reader(&d);
-    stream::DatasetChunkWriter comp_writer;
-    options.use_compiled = true;
-    auto comp = stream::StreamingCustodian::Release(comp_reader, comp_writer,
-                                                    options);
-    ASSERT_TRUE(comp.ok()) << comp.status().ToString();
-
-    EXPECT_EQ(SerializePlan(interp.value()), SerializePlan(comp.value()))
-        << stream::ToString(policy);
-    EXPECT_EQ(ToCsvString(interp_writer.collected()),
-              ToCsvString(comp_writer.collected()))
-        << stream::ToString(policy);
+    stream::DatasetChunkReader reader(&d);
+    stream::DatasetChunkWriter writer;
+    auto plan = stream::StreamingCustodian::Release(reader, writer, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const Dataset& out = writer.collected();
+    ASSERT_EQ(out.NumRows(), d.NumRows());
+    for (size_t a = 0; a < d.NumAttributes(); ++a) {
+      for (size_t r = 0; r < d.NumRows(); ++r) {
+        // kRefit refits on the outlier chunk, so only that chunk uses the
+        // returned plan; the other policies keep the prefix fit throughout.
+        const bool refitted =
+            policy == stream::OodPolicy::kRefit && r >= kPrefixRows;
+        const PiecewiseTransform& t =
+            (refitted ? plan.value() : prefix_plan).transform(a);
+        const AttrValue x = d.Value(r, a);
+        AttrValue want = t.Apply(x);
+        if (!DomainBounds::Of(t).Contains(x)) {
+          want = policy == stream::OodPolicy::kClamp
+                     ? check::ReferenceEncodeClamped(t, x)
+                     : check::ReferenceEncodeExtended(t, x);
+        }
+        EXPECT_TRUE(BitEqual(out.Value(r, a), want))
+            << stream::ToString(policy) << " row " << r << " attr " << a;
+      }
+    }
   }
-  // kReject: both paths report the same first offending row.
-  stream::StreamOptions options;
-  options.chunk_rows = 10;
-  options.fit_rows = 60;
+  // kReject: the first offending row is reported, naming the value.
   options.ood_policy = stream::OodPolicy::kReject;
-  options.seed = 5;
-  stream::DatasetChunkReader r1(&d), r2(&d);
-  stream::DatasetChunkWriter w1, w2;
-  options.use_compiled = false;
-  auto interp = stream::StreamingCustodian::Release(r1, w1, options);
-  options.use_compiled = true;
-  auto comp = stream::StreamingCustodian::Release(r2, w2, options);
-  ASSERT_FALSE(interp.ok());
-  ASSERT_FALSE(comp.ok());
-  EXPECT_EQ(interp.status().ToString(), comp.status().ToString());
+  stream::DatasetChunkReader reader(&d);
+  stream::DatasetChunkWriter writer;
+  auto rejected = stream::StreamingCustodian::Release(reader, writer, options);
+  ASSERT_FALSE(rejected.ok());
+  const std::string message = rejected.status().ToString();
+  EXPECT_NE(message.find("stream row 61: attribute 'x' = 120"),
+            std::string::npos)
+      << message;
 }
 
 // -------------------------------------------------- serialize round trip
@@ -355,22 +365,7 @@ TEST(CompiledTransformTest, InverseColumnDecodesBatches) {
   }
 }
 
-// ------------------------------------------ interpreted-path parallelism
-
-/// Satellite regression: the legacy interpreted EncodeDataset now takes an
-/// ExecPolicy and must stay bit-identical to its serial self.
-TEST(TransformPlanTest, EncodeDatasetParallelMatchesSerial) {
-  const Dataset data = CovtypeLikeData(600, /*seed=*/53);
-  Rng rng(21);
-  const TransformPlan plan =
-      TransformPlan::Create(data, PiecewiseOptions{}, rng);
-  const Dataset serial = plan.EncodeDataset(data);
-  for (const size_t threads : {size_t{2}, size_t{7}}) {
-    EXPECT_EQ(ToCsvString(plan.EncodeDataset(data, ExecPolicy{threads})),
-              ToCsvString(serial))
-        << threads << " threads";
-  }
-}
+// ------------------------------------------------------------ dataset
 
 TEST(DatasetTest, ColumnAdoptingConstructorValidates) {
   Schema schema({"x", "y"}, {"a", "b"});

@@ -218,8 +218,7 @@ TEST(ParallelEqualityTest, CustodianPipelineIsBitIdentical) {
 
 TEST(ParallelEqualityTest, TreeBuildIsBitIdenticalForAllAlgorithms) {
   const Dataset data = TestData(3000, 3);
-  for (auto algorithm : {BuildOptions::Algorithm::kPresorted,
-                         BuildOptions::Algorithm::kResort,
+  for (auto algorithm : {BuildOptions::Algorithm::kResort,
                          BuildOptions::Algorithm::kFrontier}) {
     BuildOptions options;
     options.algorithm = algorithm;

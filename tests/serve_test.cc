@@ -251,6 +251,28 @@ TEST(WorkspaceRegistryTest, StablePerTenantWorkspaces) {
   EXPECT_EQ(b->cache().stats().evictions, 0u);
 }
 
+TEST(ServeOpsTest, NumericOptionsAreStrictAndNoCompiledIsRefused) {
+  Workspace workspace("strict", 4);
+  RequestBody request;
+  request.dataset = "a,class\n1,x\n2,y\n3,x\n";
+  for (const std::string options :
+       {"seed 3x\n", "seed -1\n", "breakpoints 2abc\n", "threads \n",
+        "trials 1e3\n", "deadline-ms 5ms\n", "no-compiled\n"}) {
+    request.options = options;
+    const ReplyBody reply =
+        DispatchOp(Tag::kEncode, workspace, request, OpConfig{});
+    EXPECT_EQ(reply.code, StatusCode::kInvalidArgument) << options;
+    const std::string key = options.substr(0, options.find_first_of(" \n"));
+    EXPECT_NE(reply.text.find("'" + key + "'"), std::string::npos)
+        << reply.text;
+  }
+  request.options = "seed 3\nbreakpoints 4\nthreads 2\ndeadline-ms 60000\n";
+  EXPECT_TRUE(DispatchOp(Tag::kEncode, workspace, request, OpConfig{}).ok());
+  // The admission peek leaves a malformed deadline to the op's parse.
+  EXPECT_EQ(ExtractDeadlineMs("deadline-ms 5ms\n"), UINT64_MAX);
+  EXPECT_EQ(ExtractDeadlineMs("seed 1\ndeadline-ms 250\n"), 250u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end daemon tests over a real Unix socket.
 

@@ -15,6 +15,7 @@
 #include "stream/streaming_custodian.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
+#include "transform/compiled.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
 #include "tree/builder.h"
@@ -311,7 +312,7 @@ TEST(OodPolicyTest, ClampEncodesOutliersToHullImages) {
   const Dataset& out = writer.collected();
   ASSERT_EQ(out.NumRows(), data.NumRows());
   const PiecewiseTransform& t = plan.value().transform(0);
-  const auto hull = stream::FittedHull(t);
+  const auto hull = DomainBounds::Of(t);
   // Outliers collide with the nearest hull endpoint's image.
   EXPECT_EQ(out.Column(0)[60], t.Apply(hull.hi));
   EXPECT_EQ(out.Column(0)[61], t.Apply(hull.lo));
@@ -329,7 +330,7 @@ TEST(OodPolicyTest, ExtendPiecePreservesOrderBeyondHull) {
   EXPECT_EQ(stats.ood_total, 3u);
   const Dataset& out = writer.collected();
   const PiecewiseTransform& t = plan.value().transform(0);
-  const auto hull = stream::FittedHull(t);
+  const auto hull = DomainBounds::Of(t);
   // Order against every in-hull image survives: 120 and 121 land strictly
   // beyond the image of the hull max (global-monotone default), -40
   // strictly below the image of the hull min — and 120 < 121 is kept.
@@ -349,7 +350,7 @@ TEST(OodPolicyTest, RefitAbsorbsOutliersDeterministically) {
   EXPECT_GE(stats.refits, 1u);
   EXPECT_EQ(stats.ood_total, 3u);
   // The final plan's hull covers the whole stream.
-  const auto hull = stream::FittedHull(plan.value().transform(0));
+  const auto hull = DomainBounds::Of(plan.value().transform(0));
   EXPECT_EQ(hull.lo, -40);
   EXPECT_EQ(hull.hi, 121);
   // Determinism: the same stream yields byte-identical output and plan.

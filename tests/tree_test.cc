@@ -236,15 +236,12 @@ TEST(BuilderTest, AllAlgorithmsAgreeBitForBit) {
       resort.algorithm = BuildOptions::Algorithm::kResort;
       resort.criterion = criterion;
       const DecisionTree a = DecisionTreeBuilder(resort).Build(d);
-      for (auto algorithm : {BuildOptions::Algorithm::kPresorted,
-                             BuildOptions::Algorithm::kFrontier}) {
-        BuildOptions other = resort;
-        other.algorithm = algorithm;
-        const DecisionTree b = DecisionTreeBuilder(other).Build(d);
-        EXPECT_TRUE(ExactlyEqual(a, b))
-            << ToString(criterion) << " seed " << seed << ": "
-            << DescribeDifference(a, b);
-      }
+      BuildOptions frontier = resort;
+      frontier.algorithm = BuildOptions::Algorithm::kFrontier;
+      const DecisionTree b = DecisionTreeBuilder(frontier).Build(d);
+      EXPECT_TRUE(ExactlyEqual(a, b))
+          << ToString(criterion) << " seed " << seed << ": "
+          << DescribeDifference(a, b);
     }
   }
 }
@@ -258,13 +255,10 @@ TEST(BuilderTest, AlgorithmsAgreeUnderDepthAndLeafLimits) {
   resort.min_leaf_size = 4;
   resort.min_split_size = 10;
   const DecisionTree reference = DecisionTreeBuilder(resort).Build(d);
-  for (auto algorithm : {BuildOptions::Algorithm::kPresorted,
-                         BuildOptions::Algorithm::kFrontier}) {
-    BuildOptions other = resort;
-    other.algorithm = algorithm;
-    EXPECT_TRUE(
-        ExactlyEqual(reference, DecisionTreeBuilder(other).Build(d)));
-  }
+  BuildOptions frontier = resort;
+  frontier.algorithm = BuildOptions::Algorithm::kFrontier;
+  EXPECT_TRUE(
+      ExactlyEqual(reference, DecisionTreeBuilder(frontier).Build(d)));
 }
 
 TEST(BuilderTest, DeterministicAcrossCalls) {

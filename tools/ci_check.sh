@@ -9,10 +9,11 @@
 # popp_check run. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
 # runs the parallel execution layer's tests, the streaming release tests,
 # the compiled-kernel tests, the frontier tree builder's stress battery
-# (which sweeps 1/2/3/7/8-thread builds against the serial bytes), and
-# the parallel_determinism + stream_vs_batch + compiled_vs_interpreted
-# oracles, which exercise every ThreadPool/ParallelFor path under real
-# concurrency. Both stages also run the shard_vs_stream oracle plus the
+# (which sweeps 1/2/3/7/8-thread builds against the serial bytes) with
+# the frontier_vs_resort oracle (the frontier engine at 1-8 threads
+# against the serial kResort reference), and the parallel_determinism +
+# stream_vs_batch + compiled_vs_interpreted oracles, which exercise every
+# ThreadPool/ParallelFor path under real concurrency. Both stages also run the shard_vs_stream oracle plus the
 # sharded-release test battery (fork-based worker suites only under ASan
 # — TSan cannot host fork()), the serve_vs_cli oracle and the
 # popp-serve test battery (byte-identity, tenant isolation, malformed
@@ -39,7 +40,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 echo "== build =="
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
@@ -110,7 +111,7 @@ cmake -B "$tsan_build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 echo "== build (TSan) =="
-cmake --build "$tsan_build_dir" -j --target popp_tests popp_check
+cmake --build "$tsan_build_dir" -j "$(nproc)" --target popp_tests popp_check
 
 echo "== parallel + streaming tests under TSan =="
 "$tsan_build_dir/tests/popp_tests" \
@@ -122,16 +123,21 @@ echo "== frontier builder stress battery under TSan (1/2/3/7/8 threads) =="
 # against the serial tree, so a TSan-visible race OR a scheduling-order
 # dependence in the frontier engine (frontier scans, subtree solver,
 # side-mask marking) fails here. Each stress case sweeps 1/2/3/7/8
-# worker threads.
+# worker threads; the frontier_vs_resort oracle then builds each fuzz
+# case's tree with the frontier engine at a case-derived 1-8 threads and
+# byte-compares it with the serial kResort reference on both sides of
+# the release.
 "$tsan_build_dir/tests/popp_tests" \
   --gtest_filter='BuilderParallel*:BuilderEdge*:ColumnarPartitions*'
+"$tsan_build_dir/tools/popp_check" --oracle frontier_vs_resort \
+  --trials 50 --seed 7 --out "$tsan_build_dir"
 
 echo "== stream resume under TSan (kill-point sweep + --resume at 7 threads) =="
 # The resume sweep re-runs the multi-threaded encode on top of the
 # journal recovery path; the CLI pass drives the same machinery end to
 # end with --threads 7 and verifies the resumed artifact byte-for-byte.
 "$tsan_build_dir/tests/popp_tests" --gtest_filter='StreamResume*'
-cmake --build "$tsan_build_dir" -j --target popp_cli
+cmake --build "$tsan_build_dir" -j "$(nproc)" --target popp_cli
 resume_dir="$tsan_build_dir/resume-e2e"
 mkdir -p "$resume_dir"
 awk 'BEGIN {
@@ -201,7 +207,7 @@ echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push one cols-framed encode through
 # `popp serve-client`, byte-compare against `popp encode`, then shut the
 # daemon down and verify it drained (exit 0) and removed its socket.
-cmake --build "$build_dir" -j --target popp_serve popp_cli
+cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
 awk 'BEGIN {

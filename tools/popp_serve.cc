@@ -5,12 +5,12 @@
 // `popp serve-client`.
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "serve/server.h"
+#include "util/decimal.h"
 
 namespace {
 
@@ -47,9 +47,8 @@ exit codes: 0 graceful shutdown, 1 runtime failure, 2 usage error
 )";
 
 bool ParseSize(const std::string& text, size_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
+  uint64_t v = 0;
+  if (!popp::ParseDecimalU64(text, &v)) return false;
   *out = static_cast<size_t>(v);
   return true;
 }
