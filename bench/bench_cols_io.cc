@@ -3,12 +3,13 @@
 // Writes the covertype-like benchmark relation in both formats, then
 // times (a) the input-parse stage alone — draining each format through
 // its ChunkReader, exactly the work stream-release's passes repeat — and
-// (b) an end-to-end stream-release from each format. The drained rows and
-// both releases are checksummed: the cols-fed artifacts MUST match the
-// CSV-fed ones bit-for-bit, so the benchmark doubles as an equivalence
-// check at benchmark scale. The acceptance bar for the full-size run
-// (POPP_ROWS=1000000, the 1M x 10 grid) is parse_speedup >= 5x. Emits
-// BENCH_cols.json next to the printed table.
+// (b) an end-to-end stream-release from each format into the journaled
+// ResumableCsvChunkWriter sink `popp stream-release` runs. The drained
+// rows and both releases are checksummed: the cols-fed artifacts MUST
+// match the CSV-fed ones bit-for-bit, so the benchmark doubles as an
+// equivalence check at benchmark scale. The acceptance bar for the
+// full-size run (POPP_ROWS=1000000, the 1M x 10 grid) is
+// parse_speedup >= 5x. Emits BENCH_cols.json next to the printed table.
 //
 // Environment: POPP_ROWS sets the dataset size (so CI can smoke-run this
 // in seconds), POPP_TRIALS the timing repetitions (best-of), POPP_SEED
@@ -18,11 +19,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/cols.h"
@@ -30,9 +30,8 @@
 #include "experiment_common.h"
 #include "stream/chunk_io.h"
 #include "stream/cols_io.h"
+#include "stream/manifest.h"
 #include "stream/streaming_custodian.h"
-#include "transform/plan.h"
-#include "transform/serialize.h"
 #include "util/table.h"
 
 namespace popp::bench {
@@ -40,36 +39,12 @@ namespace {
 
 constexpr size_t kChunkRows = 4096;
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// FNV-1a over a byte string; chainable via `seed`.
-uint64_t Fnv1a(const std::string& bytes,
-               uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
-
 /// Drains `reader` chunk by chunk, folding every cell and label into one
 /// order-sensitive checksum — the compiler cannot dead-code the parse, and
 /// equal checksums mean both formats delivered identical rows.
 struct DrainResult {
   size_t rows = 0;
-  uint64_t checksum = 1469598103934665603ull;
+  uint64_t checksum = Fnv1a("");  // the FNV offset basis
 };
 
 DrainResult DrainChecksum(stream::ChunkReader& reader) {
@@ -86,21 +61,15 @@ DrainResult DrainChecksum(stream::ChunkReader& reader) {
     for (size_t r = 0; r < d.NumRows(); ++r) {
       for (size_t a = 0; a < d.NumAttributes(); ++a) {
         const double v = d.Value(r, a);
-        uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        for (int i = 0; i < 8; ++i) {
-          result.checksum ^= (bits >> (8 * i)) & 0xff;
-          result.checksum *= 1099511628211ull;
-        }
+        result.checksum = Fnv1a(
+            std::string_view(reinterpret_cast<const char*>(&v), sizeof(v)),
+            result.checksum);
       }
       // Hash the class NAME, not the code: CSV readers assign codes by
       // first appearance while cols preserves the writer's dictionary
       // order, so codes for the same row can legally differ.
-      for (unsigned char c : d.schema().ClassName(d.Label(r))) {
-        result.checksum ^= c;
-        result.checksum *= 1099511628211ull;
-      }
+      result.checksum =
+          Fnv1a(d.schema().ClassName(d.Label(r)), result.checksum);
     }
     result.rows += d.NumRows();
   }
@@ -168,12 +137,7 @@ int Run() {
       cols_parse_wall > 0 ? csv_parse_wall / cols_parse_wall : 0.0;
 
   // ---- (b) end-to-end stream-release from each format ---------------
-  Rng plan_rng(env.seed);
-  const TransformPlan batch_plan =
-      TransformPlan::Create(data, PiecewiseOptions{}, plan_rng);
-  const uint64_t batch_checksum =
-      Fnv1a(SerializePlan(batch_plan),
-            Fnv1a(ToCsvString(batch_plan.EncodeDataset(data))));
+  const uint64_t batch_checksum = BatchReleaseChecksum(data, env.seed);
 
   struct ReleaseCell {
     const char* format;
@@ -193,7 +157,7 @@ int Run() {
     stream::StreamOptions options;
     options.chunk_rows = kChunkRows;
     options.seed = env.seed;
-    stream::CsvChunkWriter writer(output_path);
+    stream::ResumableCsvChunkWriter writer(output_path);
     const auto t0 = std::chrono::steady_clock::now();
     auto plan = stream::StreamingCustodian::Release(*reader.value(), writer,
                                                     options);
@@ -203,8 +167,7 @@ int Run() {
                    plan.status().ToString().c_str());
       return 1;
     }
-    cell.checksum = Fnv1a(SerializePlan(plan.value()),
-                          Fnv1a(ReadFileBytes(output_path)));
+    cell.checksum = ReleaseChecksum(plan.value(), ReadFileBytes(output_path));
     cell.ok = cell.checksum == batch_checksum;
   }
   const bool release_ok = cells[0].ok && cells[1].ok;
@@ -233,6 +196,7 @@ int Run() {
 
   std::ofstream json("BENCH_cols.json");
   json << "{\n  \"experiment\": \"cols_io\",\n"
+       << "  \"host\": " << HostJson() << ",\n"
        << "  \"rows\": " << data.NumRows() << ",\n"
        << "  \"attributes\": " << data.NumAttributes() << ",\n"
        << "  \"trials\": " << trials << ",\n"

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment_common.h"
@@ -29,24 +30,15 @@
 namespace popp::bench {
 namespace {
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// FNV-1a over the raw bytes of every released column (bit-exact: two
 /// releases checksum equal iff every double matches bit for bit).
 uint64_t ColumnChecksum(const Dataset& data) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = Fnv1a("");  // the FNV offset basis
   for (size_t attr = 0; attr < data.NumAttributes(); ++attr) {
     const std::vector<AttrValue>& col = data.Column(attr);
-    const unsigned char* bytes =
-        reinterpret_cast<const unsigned char*>(col.data());
-    for (size_t i = 0; i < col.size() * sizeof(AttrValue); ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
+    h = Fnv1a(std::string_view(reinterpret_cast<const char*>(col.data()),
+                               col.size() * sizeof(AttrValue)),
+              h);
   }
   return h;
 }
@@ -85,7 +77,8 @@ int Run() {
   TablePrinter table({"rows", "attrs", "variant", "threads", "sec",
                       "rows/sec", "speedup", "checksum ok"});
   std::ofstream json("BENCH_encode.json");
-  json << "{\n  \"experiment\": \"encode_kernel\",\n  \"cells\": [\n";
+  json << "{\n  \"experiment\": \"encode_kernel\",\n  \"host\": "
+       << HostJson() << ",\n  \"cells\": [\n";
   bool first_cell = true;
   int mismatches = 0;
 

@@ -20,12 +20,6 @@
 namespace popp::bench {
 namespace {
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 int Run() {
   const ExperimentEnv env = GetEnv();
   PrintBanner("No-outcome-change guarantee (Theorems 1 & 2) at scale", env);

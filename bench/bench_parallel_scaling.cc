@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "experiment_common.h"
@@ -42,39 +41,6 @@
 
 namespace popp::bench {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// FNV-1a over a byte string; chainable via `seed`.
-uint64_t Fnv1a(const std::string& bytes, uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// The host the grid ran on, as a JSON object: online cores and the CPU
-/// model /proc/cpuinfo names.
-std::string HostJson() {
-  std::string model = "unknown";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    const size_t colon = line.find(':');
-    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
-      model = line.substr(line.find_first_not_of(" \t", colon + 1));
-      break;
-    }
-  }
-  return "{\"nproc\": " +
-         std::to_string(std::thread::hardware_concurrency()) +
-         ", \"cpu_model\": \"" + model + "\"}";
-}
 
 struct CellResult {
   size_t threads = 1;

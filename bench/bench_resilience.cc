@@ -2,12 +2,10 @@
 //
 // Three measurements, all emitted into BENCH_resil.json:
 //
-//  1. Supervision overhead: the process-mode sharded release with the
-//     full watchdog stack (heartbeats, deadline poller, restart budget)
-//     against the PR 9 fork-and-block baseline (`supervise=false`) on
-//     the same input. Interleaved trials, median wall per mode. The
-//     fault-free overhead is the headline number and must stay small
-//     (target: <= 2%) — supervision is bookkeeping, not work.
+//  1. Fault-free supervised release: the process-mode sharded release
+//     with the full watchdog stack (heartbeats, deadline poller, restart
+//     budget), median wall over the trials. It is the baseline the
+//     recovery latency below is measured against.
 //  2. Admission hot path: the uncontended Acquire/Release round-trip of
 //     the popp-serve AdmissionController in ns/op. This is the exact
 //     per-request cost added over the PR 8 daemon, which had no
@@ -16,8 +14,8 @@
 //     deterministic crash injected into one forked worker (child-only
 //     one-shot fault, so the restarted attempt never re-fires). Each
 //     firing trial must still converge byte-identically; the extra wall
-//     time over the fault-free supervised median is the recovery
-//     latency (detection + backoff + journal-resume redo).
+//     time over the fault-free median of (1) is the recovery latency
+//     (detection + backoff + journal-resume redo).
 //
 // Every release in every section is checksummed against the one-shot
 // batch release — a mismatch fails the binary, so the benchmark doubles
@@ -32,7 +30,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,36 +41,10 @@
 #include "resil/deadline.h"
 #include "shard/meta_manifest.h"
 #include "shard/pipeline.h"
-#include "transform/plan.h"
-#include "transform/serialize.h"
 #include "util/table.h"
 
 namespace popp::bench {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// FNV-1a over a byte string; chainable via `seed`.
-uint64_t Fnv1a(const std::string& bytes,
-               uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
 
 double Median(std::vector<double> values) {
   if (values.empty()) return 0.0;
@@ -92,17 +63,16 @@ struct RunResult {
 
 constexpr size_t kShards = 4;
 
-/// One supervised (or baseline) process-mode release; checksums the
-/// concatenated shard bytes + serialized plan.
+/// One supervised process-mode release; checksums the concatenated shard
+/// bytes + serialized plan.
 RunResult RunRelease(const std::string& input_path,
                      const std::string& output_path,
-                     const ExperimentEnv& env, bool supervise) {
+                     const ExperimentEnv& env) {
   shard::ShardOptions options;
   options.num_shards = kShards;
   options.workers_mode = shard::WorkersMode::kProcess;
   options.seed = env.seed;
   options.exec = ExecPolicy{kShards};
-  options.supervise = supervise;
   RunResult result;
   const auto t0 = std::chrono::steady_clock::now();
   auto plan = shard::ShardedCustodian::Release(input_path, output_path,
@@ -117,7 +87,7 @@ RunResult RunRelease(const std::string& input_path,
   for (size_t k = 0; k < kShards; ++k) {
     released += ReadFileBytes(shard::ShardFilePath(output_path, k));
   }
-  result.checksum = Fnv1a(SerializePlan(plan.value()), Fnv1a(released));
+  result.checksum = ReleaseChecksum(plan.value(), released);
   result.ok = true;
   return result;
 }
@@ -132,7 +102,7 @@ void RemoveReleaseFiles(const std::string& output_path) {
 
 int Run() {
   const ExperimentEnv env = GetEnv();
-  PrintBanner("Supervised execution overhead & recovery latency", env);
+  PrintBanner("Supervised execution cost & recovery latency", env);
 
   Rng data_rng(env.seed);
   const Dataset data =
@@ -145,58 +115,31 @@ int Run() {
   }
 
   // The batch baseline every supervised cell must reproduce byte-for-byte.
-  Rng plan_rng(env.seed);
-  const TransformPlan batch_plan =
-      TransformPlan::Create(data, PiecewiseOptions{}, plan_rng);
-  const uint64_t batch_checksum =
-      Fnv1a(SerializePlan(batch_plan),
-            Fnv1a(ToCsvString(batch_plan.EncodeDataset(data))));
+  const uint64_t batch_checksum = BatchReleaseChecksum(data, env.seed);
 
   int mismatches = 0;
 
-  // -- 1. Supervision overhead (fault-free), interleaved trials ----------
-  const size_t overhead_trials = std::max<size_t>(3, env.trials);
-  std::vector<double> unsupervised_walls;
-  std::vector<double> supervised_walls;
-  for (size_t trial = 0; trial < overhead_trials; ++trial) {
-    // Alternate which mode goes first so slow drift (page cache, CPU
-    // frequency) cannot bias one side.
-    for (int leg = 0; leg < 2; ++leg) {
-      const bool supervise = (trial + static_cast<size_t>(leg)) % 2 == 0;
-      RunResult run = RunRelease(input_path, output_path, env, supervise);
-      if (!run.ok) return 1;
-      if (run.checksum != batch_checksum) ++mismatches;
-      (supervise ? supervised_walls : unsupervised_walls)
-          .push_back(run.wall_s);
-      RemoveReleaseFiles(output_path);
-    }
+  // -- 1. Fault-free supervised releases ---------------------------------
+  const size_t fault_free_trials = std::max<size_t>(3, env.trials);
+  std::vector<double> fault_free_walls;
+  for (size_t trial = 0; trial < fault_free_trials; ++trial) {
+    RunResult run = RunRelease(input_path, output_path, env);
+    if (!run.ok) return 1;
+    if (run.checksum != batch_checksum) ++mismatches;
+    fault_free_walls.push_back(run.wall_s);
+    RemoveReleaseFiles(output_path);
   }
-  const double unsupervised_median = Median(unsupervised_walls);
-  const double supervised_median = Median(supervised_walls);
-  const double overhead_pct =
-      unsupervised_median > 0
-          ? (supervised_median - unsupervised_median) / unsupervised_median *
-                100.0
-          : 0.0;
+  const double fault_free_median = Median(fault_free_walls);
 
   TablePrinter table({"cell", "trials", "median s", "rows/s", "checksum ok"});
-  const double sup_rows_per_s =
-      supervised_median > 0
-          ? static_cast<double>(data.NumRows()) / supervised_median
-          : 0.0;
-  const double unsup_rows_per_s =
-      unsupervised_median > 0
-          ? static_cast<double>(data.NumRows()) / unsupervised_median
-          : 0.0;
-  table.AddRow({"process unsupervised (PR 9)",
-                std::to_string(unsupervised_walls.size()),
-                TablePrinter::Fmt(unsupervised_median, 3),
-                TablePrinter::Fmt(unsup_rows_per_s, 0),
-                mismatches == 0 ? "YES" : "NO"});
-  table.AddRow({"process supervised",
-                std::to_string(supervised_walls.size()),
-                TablePrinter::Fmt(supervised_median, 3),
-                TablePrinter::Fmt(sup_rows_per_s, 0),
+  table.AddRow({"process supervised", std::to_string(fault_free_trials),
+                TablePrinter::Fmt(fault_free_median, 3),
+                TablePrinter::Fmt(
+                    fault_free_median > 0
+                        ? static_cast<double>(data.NumRows()) /
+                              fault_free_median
+                        : 0.0,
+                    0),
                 mismatches == 0 ? "YES" : "NO"});
 
   // -- 2. Admission hot path (uncontended Acquire/Release) ---------------
@@ -227,7 +170,7 @@ int Run() {
   size_t total_ops = 0;
   {
     fault::ScopedFaultInjection probe(fault::FaultSchedule::CountOnly());
-    RunResult run = RunRelease(input_path, output_path, env, true);
+    RunResult run = RunRelease(input_path, output_path, env);
     if (!run.ok) return 1;
     total_ops = probe.ops_seen();
     RemoveReleaseFiles(output_path);
@@ -252,7 +195,7 @@ int Run() {
     RunResult run;
     {
       fault::ScopedFaultInjection inject(schedule);
-      run = RunRelease(input_path, output_path, env, true);
+      run = RunRelease(input_path, output_path, env);
     }
     const bool fired = !fault::FileExists(token);
     (void)fault::RemoveFile(token);
@@ -268,12 +211,8 @@ int Run() {
   const double recovery_median = Median(recovery_walls);
 
   table.Print(
-      "supervised vs PR 9 fork-and-block baseline (same input, same "
-      "shard/thread grid; checksums must match the batch release)");
-  std::printf(
-      "supervision overhead: %+.2f%% (fault-free, median of %zu trials "
-      "per mode)\n",
-      overhead_pct, overhead_trials);
+      "fault-free supervised release (checksums must match the batch "
+      "release)");
   std::printf("admission Acquire/Release: %.0f ns/op (%zu iterations)\n",
               admission_ns, admission_iters);
   if (recovery_walls.empty()) {
@@ -287,21 +226,19 @@ int Run() {
         "%.3f/%.3f/%.3f s vs %.3f s fault-free (+%.3f s median), "
         "%zu restarts\n",
         recovery_walls.size(), sorted_recovery.front(), recovery_median,
-        sorted_recovery.back(), supervised_median,
-        recovery_median - supervised_median, recovery_restarts);
+        sorted_recovery.back(), fault_free_median,
+        recovery_median - fault_free_median, recovery_restarts);
   }
 
   std::ofstream json("BENCH_resil.json");
-  json << "{\n  \"experiment\": \"resilience\",\n  \"rows\": "
-       << data.NumRows() << ",\n  \"batch_checksum\": \"" << std::hex
-       << batch_checksum << std::dec << "\",\n";
-  json << "  \"supervision\": {\"trials_per_mode\": " << overhead_trials
-       << ", \"unsupervised_median_s\": " << unsupervised_median
-       << ", \"supervised_median_s\": " << supervised_median
-       << ", \"overhead_pct\": " << overhead_pct << "},\n";
+  json << "{\n  \"experiment\": \"resilience\",\n  \"host\": "
+       << HostJson() << ",\n  \"rows\": " << data.NumRows()
+       << ",\n  \"batch_checksum\": \"" << std::hex << batch_checksum
+       << std::dec << "\",\n";
   json << "  \"admission\": {\"acquire_release_ns\": " << admission_ns
        << ", \"iterations\": " << admission_iters << "},\n";
-  json << "  \"recovery\": {\"fault_free_median_s\": " << supervised_median
+  json << "  \"recovery\": {\"fault_free_trials\": " << fault_free_trials
+       << ", \"fault_free_median_s\": " << fault_free_median
        << ", \"samples_s\": [";
   for (size_t i = 0; i < sorted_recovery.size(); ++i) {
     if (i) json << ", ";

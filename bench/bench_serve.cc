@@ -45,21 +45,6 @@
 namespace popp::bench {
 namespace {
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// One measured request series: QPS plus latency quantiles.
 struct Series {
   size_t requests = 0;
@@ -241,6 +226,7 @@ int Run() {
 
   std::ofstream json("BENCH_serve.json");
   json << "{\n  \"experiment\": \"serve\",\n"
+       << "  \"host\": " << HostJson() << ",\n"
        << "  \"rows\": " << data.NumRows() << ",\n"
        << "  \"attributes\": " << data.NumAttributes() << ",\n"
        << "  \"baseline\": {\"requests\": " << baseline.requests

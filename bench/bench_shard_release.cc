@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,36 +28,10 @@
 #include "experiment_common.h"
 #include "shard/meta_manifest.h"
 #include "shard/pipeline.h"
-#include "transform/plan.h"
-#include "transform/serialize.h"
 #include "util/table.h"
 
 namespace popp::bench {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// FNV-1a over a byte string; chainable via `seed`.
-uint64_t Fnv1a(const std::string& bytes,
-               uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
 
 struct Cell {
   size_t shards;
@@ -81,12 +54,7 @@ int Run() {
   }
 
   // The batch baseline every sharded cell must reproduce byte-for-byte.
-  Rng plan_rng(env.seed);
-  const TransformPlan batch_plan =
-      TransformPlan::Create(data, PiecewiseOptions{}, plan_rng);
-  const uint64_t batch_checksum =
-      Fnv1a(SerializePlan(batch_plan),
-            Fnv1a(ToCsvString(batch_plan.EncodeDataset(data))));
+  const uint64_t batch_checksum = BatchReleaseChecksum(data, env.seed);
 
   const std::vector<Cell> grid = {
       {1, 1, shard::WorkersMode::kThread},
@@ -100,7 +68,8 @@ int Run() {
                       "summarize s", "merge+fit s", "encode s", "finalize s",
                       "rows/s", "peak rows", "MB", "checksum ok"});
   std::ofstream json("BENCH_shard.json");
-  json << "{\n  \"experiment\": \"shard_release\",\n  \"rows\": "
+  json << "{\n  \"experiment\": \"shard_release\",\n  \"host\": "
+       << HostJson() << ",\n  \"rows\": "
        << data.NumRows() << ",\n  \"batch_checksum\": \"" << std::hex
        << batch_checksum << std::dec << "\",\n  \"cells\": [\n";
   bool first_cell = true;
@@ -126,8 +95,7 @@ int Run() {
     for (size_t k = 0; k < cell.shards; ++k) {
       released += ReadFileBytes(shard::ShardFilePath(output_path, k));
     }
-    const uint64_t checksum =
-        Fnv1a(SerializePlan(plan.value()), Fnv1a(released));
+    const uint64_t checksum = ReleaseChecksum(plan.value(), released);
     const bool checksum_ok = checksum == batch_checksum;
     if (!checksum_ok) ++mismatches;
     const double rows_per_s =

@@ -1,7 +1,8 @@
 // Experiment S1 — throughput and memory bound of the streaming release
 // engine (src/stream/).
 //
-// Streams the covertype-like benchmark CSV through stream-release at
+// Streams the covertype-like benchmark CSV through stream-release (the
+// journaled ResumableCsvChunkWriter sink `popp stream-release` runs) at
 // several chunk sizes and thread counts, reporting wall-clock, throughput
 // (rows/s), and the peak number of resident rows. Every cell's released
 // bytes and key are checksummed against the one-shot batch release — the
@@ -18,44 +19,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "data/csv.h"
 #include "experiment_common.h"
 #include "stream/chunk_io.h"
+#include "stream/manifest.h"
 #include "stream/streaming_custodian.h"
-#include "transform/plan.h"
-#include "transform/serialize.h"
 #include "util/table.h"
 
 namespace popp::bench {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// FNV-1a over a byte string; chainable via `seed`.
-uint64_t Fnv1a(const std::string& bytes,
-               uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
-}
 
 int Run() {
   const ExperimentEnv env = GetEnv();
@@ -72,12 +47,7 @@ int Run() {
   }
 
   // The batch baseline every streamed cell must reproduce byte-for-byte.
-  Rng plan_rng(env.seed);
-  const TransformPlan batch_plan =
-      TransformPlan::Create(data, PiecewiseOptions{}, plan_rng);
-  const uint64_t batch_checksum =
-      Fnv1a(SerializePlan(batch_plan),
-            Fnv1a(ToCsvString(batch_plan.EncodeDataset(data))));
+  const uint64_t batch_checksum = BatchReleaseChecksum(data, env.seed);
 
   std::vector<size_t> chunk_grid = {64, 512, 4096};
   if (chunk_grid.back() < data.NumRows()) {
@@ -88,7 +58,8 @@ int Run() {
   TablePrinter table({"chunk rows", "threads", "wall s", "rows/s",
                       "peak rows", "checksum ok"});
   std::ofstream json("BENCH_stream.json");
-  json << "{\n  \"experiment\": \"stream_release\",\n  \"rows\": "
+  json << "{\n  \"experiment\": \"stream_release\",\n  \"host\": "
+       << HostJson() << ",\n  \"rows\": "
        << data.NumRows() << ",\n  \"batch_checksum\": \"" << std::hex
        << batch_checksum << std::dec << "\",\n  \"cells\": [\n";
   bool first_cell = true;
@@ -101,7 +72,7 @@ int Run() {
       options.seed = env.seed;
       options.exec = ExecPolicy{threads};
       stream::CsvChunkReader reader(input_path);
-      stream::CsvChunkWriter writer(output_path);
+      stream::ResumableCsvChunkWriter writer(output_path);
       stream::StreamStats stats;
       const auto t0 = std::chrono::steady_clock::now();
       auto plan =
@@ -113,8 +84,8 @@ int Run() {
                      plan.status().ToString().c_str());
         return 1;
       }
-      const uint64_t checksum = Fnv1a(SerializePlan(plan.value()),
-                                      Fnv1a(ReadFileBytes(output_path)));
+      const uint64_t checksum =
+          ReleaseChecksum(plan.value(), ReadFileBytes(output_path));
       const bool checksum_ok = checksum == batch_checksum;
       if (!checksum_ok) ++mismatches;
       const double rows_per_s =

@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "attack/sorting_attack.h"
+#include "data/csv.h"
+#include "transform/serialize.h"
 #include "util/status.h"
 
 namespace popp::bench {
@@ -44,6 +49,55 @@ void PrintBanner(const std::string& name, const ExperimentEnv& env) {
 Dataset LoadCovtype(const ExperimentEnv& env) {
   Rng rng(env.seed);
   return GenerateCovtypeLike(DefaultCovtypeSpec(env.rows), rng);
+}
+
+double Seconds(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+uint64_t Fnv1a(std::string_view bytes, uint64_t seed) {
+  uint64_t h = seed;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream oss;
+  oss << in.rdbuf();
+  return oss.str();
+}
+
+uint64_t ReleaseChecksum(const TransformPlan& plan,
+                         std::string_view released_csv) {
+  return Fnv1a(SerializePlan(plan), Fnv1a(released_csv));
+}
+
+uint64_t BatchReleaseChecksum(const Dataset& data, uint64_t seed) {
+  Rng rng(seed);
+  const TransformPlan plan =
+      TransformPlan::Create(data, PiecewiseOptions{}, rng);
+  return ReleaseChecksum(plan, ToCsvString(plan.EncodeDataset(data)));
+}
+
+std::string HostJson() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      model = line.substr(line.find_first_not_of(" \t", colon + 1));
+      break;
+    }
+  }
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + model + "\"}";
 }
 
 PiecewiseOptions PaperTransform(BreakpointPolicy policy) {

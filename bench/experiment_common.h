@@ -1,8 +1,10 @@
 #ifndef POPP_BENCH_EXPERIMENT_COMMON_H_
 #define POPP_BENCH_EXPERIMENT_COMMON_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/curve_fit.h"
@@ -11,6 +13,7 @@
 #include "data/summary.h"
 #include "synth/covtype_like.h"
 #include "transform/piecewise.h"
+#include "transform/plan.h"
 #include "util/rng.h"
 
 /// \file
@@ -42,6 +45,29 @@ void PrintBanner(const std::string& name, const ExperimentEnv& env);
 
 /// Generates the covertype-like benchmark dataset (Figure 8 calibration).
 Dataset LoadCovtype(const ExperimentEnv& env);
+
+/// Wall seconds elapsed since `start`.
+double Seconds(std::chrono::steady_clock::time_point start);
+
+/// FNV-1a over a byte string; chainable via `seed`.
+uint64_t Fnv1a(std::string_view bytes,
+               uint64_t seed = 1469598103934665603ull);
+
+/// The whole file at `path` (empty if it cannot be read).
+std::string ReadFileBytes(const std::string& path);
+
+/// The checksum a release is compared by: Fnv1a of the serialized plan,
+/// chained onto Fnv1a of the released CSV text.
+uint64_t ReleaseChecksum(const TransformPlan& plan,
+                         std::string_view released_csv);
+
+/// ReleaseChecksum of the one-shot batch release of `data` with `seed`,
+/// the bytes every streamed, sharded or supervised release must equal.
+uint64_t BatchReleaseChecksum(const Dataset& data, uint64_t seed);
+
+/// The host a benchmark ran on, as a JSON object: online cores and the
+/// CPU model /proc/cpuinfo names. Every BENCH_*.json records it.
+std::string HostJson();
 
 /// The transform configuration used throughout Section 6 for a given
 /// breakpoint policy: w >= 20 breakpoints, sqrt(log) as the default

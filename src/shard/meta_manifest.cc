@@ -5,23 +5,13 @@
 
 #include "fault/file.h"
 #include "util/crc64.h"
+#include "util/decimal.h"
 #include "util/integrity.h"
 
 namespace popp::shard {
 namespace {
 
 constexpr std::string_view kHeader = "popp-shards v1";
-
-bool ParseSize(std::string_view token, size_t* out) {
-  if (token.empty() || token.size() > 19) return false;
-  size_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
 
 /// Splits off the first `count` space-separated words; the remainder of
 /// the line (which may itself contain spaces — shard file names do) comes
@@ -114,8 +104,8 @@ Result<MetaManifest> ParseMetaManifest(std::string_view text) {
   }
   size_t count = 0;
   if (lines[3].rfind("shards ", 0) != 0 ||
-      !ParseSize(lines[3].substr(std::string_view("shards ").size()),
-                 &count)) {
+      !ParseDecimalU64(lines[3].substr(std::string_view("shards ").size()),
+                       &count)) {
     return Corrupt("malformed shards line");
   }
   if (lines.size() != 4 + count) {
@@ -127,9 +117,9 @@ Result<MetaManifest> ParseMetaManifest(std::string_view text) {
     std::string_view file;
     ShardEntry entry;
     if (!SplitPrefixWords(lines[4 + i], 5, &words, &file) ||
-        words[0] != "shard" || !ParseSize(words[1], &entry.index) ||
-        !ParseSize(words[2], &entry.rows) ||
-        !ParseSize(words[3], &entry.bytes) ||
+        words[0] != "shard" || !ParseDecimalU64(words[1], &entry.index) ||
+        !ParseDecimalU64(words[2], &entry.rows) ||
+        !ParseDecimalU64(words[3], &entry.bytes) ||
         !ParseCrc64Hex(words[4], &entry.crc) || entry.index != i ||
         file.empty()) {
       return Corrupt("malformed shard line " + std::to_string(i));

@@ -1,12 +1,10 @@
 #include "shard/pipeline.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -68,42 +66,10 @@ stream::StreamOptions WorkerStreamOptions(const ShardOptions& options,
   return so;
 }
 
-/// Phase 1 worker: summarize the rows of one shard range. Also records
-/// the shard-local class dictionary (the last chunk's schema carries every
-/// class the worker has seen, in append-only first-appearance order).
-Status SummarizeShard(const std::string& input_path,
-                      stream::DatasetFormat format, const CsvOptions& csv,
-                      size_t chunk_rows, ShardSummary* out,
-                      resil::HeartbeatWriter* hb = nullptr) {
-  auto inner = stream::MakeChunkReader(input_path, format, csv);
-  if (!inner.ok()) return inner.status();
-  RangeChunkReader reader(std::move(inner).value(), out->range);
-  std::optional<IncrementalSummary> summary;
-  std::vector<std::string> class_names;
-  for (;;) {
-    if (hb != nullptr) hb->Beat();
-    auto next = reader.NextChunk(chunk_rows);
-    if (!next.ok()) return next.status();
-    const Dataset& chunk = next.value();
-    if (chunk.NumRows() == 0) break;
-    if (!summary.has_value()) {
-      summary.emplace(chunk.NumAttributes());
-    }
-    summary->Absorb(chunk);
-    class_names = chunk.schema().class_names();
-  }
-  out->summary = std::move(summary);
-  out->class_names = std::move(class_names);
-  return Status::Ok();
-}
-
-/// Phase 2 worker: encode the rows of one shard range with the fitted
-/// plan into the shard's own journaled, resumable output file. Shard 0
-/// writes the CSV header, so concatenating the shard files reproduces the
-/// single-process release byte for byte.
 /// ChunkReader decorator that emits one heartbeat per pull, so a
-/// supervised encode worker proves forward progress at chunk granularity
-/// without the stream layer knowing about supervision.
+/// supervised worker proves forward progress at chunk granularity without
+/// the stream layer knowing about supervision. A null `hb` (thread
+/// workers) makes it a plain pass-through.
 class BeatingChunkReader : public stream::ChunkReader {
  public:
   BeatingChunkReader(stream::ChunkReader* inner, resil::HeartbeatWriter* hb)
@@ -124,13 +90,46 @@ class BeatingChunkReader : public stream::ChunkReader {
   resil::HeartbeatWriter* hb_;
 };
 
-Status EncodeShard(const std::string& input_path, const std::string& out_path,
-                   stream::DatasetFormat format, const CsvOptions& csv,
-                   const ShardOptions& options, const ExecPolicy& exec,
-                   const TransformPlan& plan, size_t index,
-                   const ShardRange& range, stream::StreamStats* stats,
-                   size_t attempt = 0, resil::HeartbeatWriter* hb = nullptr) {
+/// Phase 1 worker: summarize the rows of one shard range. Also records
+/// the shard-local class dictionary (the last chunk's schema carries every
+/// class the worker has seen, in append-only first-appearance order).
+Status SummarizeShard(const std::string& input_path,
+                      stream::DatasetFormat format, const CsvOptions& csv,
+                      size_t chunk_rows, ShardSummary* out,
+                      resil::HeartbeatWriter* hb) {
   auto inner = stream::MakeChunkReader(input_path, format, csv);
+  if (!inner.ok()) return inner.status();
+  RangeChunkReader range(std::move(inner).value(), out->range);
+  BeatingChunkReader reader(&range, hb);
+  std::optional<IncrementalSummary> summary;
+  std::vector<std::string> class_names;
+  for (;;) {
+    auto next = reader.NextChunk(chunk_rows);
+    if (!next.ok()) return next.status();
+    const Dataset& chunk = next.value();
+    if (chunk.NumRows() == 0) break;
+    if (!summary.has_value()) {
+      summary.emplace(chunk.NumAttributes());
+    }
+    summary->Absorb(chunk);
+    class_names = chunk.schema().class_names();
+  }
+  out->summary = std::move(summary);
+  out->class_names = std::move(class_names);
+  return Status::Ok();
+}
+
+/// Phase 2 worker: encode the rows of one shard range with the fitted
+/// plan into the shard's own journaled, resumable output file. Shard 0
+/// writes the CSV header, so concatenating the shard files reproduces the
+/// single-process release byte for byte.
+Status EncodeShard(const std::string& input_path, const std::string& out_path,
+                   stream::DatasetFormat format, const ShardOptions& options,
+                   const ExecPolicy& exec, const TransformPlan& plan,
+                   size_t index, const ShardRange& range,
+                   stream::StreamStats* stats, size_t attempt,
+                   resil::HeartbeatWriter* hb) {
+  auto inner = stream::MakeChunkReader(input_path, format, options.csv);
   if (!inner.ok()) return inner.status();
   RangeChunkReader reader(std::move(inner).value(), range);
   BeatingChunkReader beating(&reader, hb);
@@ -151,21 +150,6 @@ Status EncodeShard(const std::string& input_path, const std::string& out_path,
   auto released = stream::StreamingCustodian::ReleaseWithPlan(
       beating, writer, plan, WorkerStreamOptions(options, exec), stats);
   return released.status();
-}
-
-/// Runs `body(k)` for every shard. One shard runs inline on the calling
-/// thread with the full thread budget; several run as ThreadPool workers
-/// (their own inner ParallelFor calls then execute inline — shards are the
-/// parallelism). Output bits are identical either way.
-void RunShardWorkers(const ShardOptions& options,
-                     const std::function<void(size_t)>& body) {
-  if (options.num_shards == 1) {
-    body(0);
-    return;
-  }
-  const size_t threads =
-      std::min(options.exec.ResolvedThreads(), options.num_shards);
-  ParallelFor(ExecPolicy{threads}, options.num_shards, body);
 }
 
 /// Maps a worker's Status onto a process exit code (the CLI taxonomy) and
@@ -208,78 +192,40 @@ Status WorkerExitStatus(size_t index, int code) {
   }
 }
 
-/// Forks one worker per shard and runs `body(k)` in the child, which
-/// exits immediately after (no atexit, no double-flushed stdio). Workers
-/// are forked from a single-threaded coordinator (transient ThreadPools
-/// are always joined), so the children start clean. Returns the first
-/// failure across workers after *all* of them were reaped.
-Status RunForkedWorkers(size_t num_shards,
-                        const std::function<Status(size_t)>& body) {
-  std::fflush(nullptr);
-  std::vector<pid_t> pids(num_shards, -1);
-  Status first = Status::Ok();
-  for (size_t k = 0; k < num_shards; ++k) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      if (first.ok()) {
-        first = Status::Internal("fork failed for shard " +
-                                 std::to_string(k) + " worker");
-      }
-      break;
-    }
-    if (pid == 0) {
-      const Status status = body(k);
-      if (!status.ok()) {
-        std::fprintf(stderr, "shard %zu worker: %s\n", k,
-                     status.ToString().c_str());
-        std::fflush(stderr);
-      }
-      _exit(WorkerExitCode(status));
-    }
-    pids[k] = pid;
-  }
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (pids[k] < 0) continue;
-    int wstatus = 0;
-    if (waitpid(pids[k], &wstatus, 0) < 0) {
-      if (first.ok()) {
-        first = Status::Internal("waitpid failed for shard " +
-                                 std::to_string(k) + " worker");
-      }
-      continue;
-    }
-    Status status = Status::Ok();
-    if (WIFEXITED(wstatus)) {
-      status = WorkerExitStatus(k, WEXITSTATUS(wstatus));
-    } else if (WIFSIGNALED(wstatus)) {
-      status = Status::Internal("shard " + std::to_string(k) +
-                                " worker killed by signal " +
-                                std::to_string(WTERMSIG(wstatus)));
-    }
-    if (first.ok() && !status.ok()) first = status;
-  }
-  return first;
-}
+/// One phase of one shard's work. `attempt` counts failed earlier attempts
+/// (a restarted encode resumes its journal); `hb` is the heartbeat
+/// channel, null when nothing watches the worker.
+using ShardBody = std::function<Status(size_t shard, size_t attempt,
+                                       resil::HeartbeatWriter* hb)>;
 
-/// Supervised replacement for RunForkedWorkers: forks one child per shard
-/// under the resil watchdog. Each child appends heartbeats to
-/// `<out>.shard<k>.hb`; a child silent past `worker_deadline_ms` is
-/// killed, and any failed attempt (crash, non-zero exit, watchdog kill)
-/// is restarted with deterministic backoff — `body` receives the attempt
-/// number so a restarted encode switches into journal-resume mode. After
+/// The one worker runner: runs `body` for every shard and returns the
+/// first failure in shard order.
+///
+/// Thread mode runs the shards as ThreadPool tasks with attempt 0 and no
+/// heartbeat; their own inner ParallelFor calls then execute inline, since
+/// shards are the parallelism. A single shard runs inline on the calling
+/// thread with the full thread budget.
+///
+/// Process mode forks one child per shard under the resil watchdog. Each
+/// child appends heartbeats to `<out>.shard<k>.hb`; a child silent past
+/// `worker_deadline_ms` is killed, and any failed attempt (crash, non-zero
+/// exit, watchdog kill) is restarted with deterministic backoff. After
 /// `max_worker_restarts` the shard is quarantined and the release fails
-/// with the shard's full failure history. `supervise = false` falls back
-/// to the plain fork-and-block path (the benchmark baseline).
-Status RunShardProcesses(
-    const ShardOptions& options, const std::string& out_path,
-    const char* phase,
-    const std::function<Status(size_t shard, size_t attempt,
-                               resil::HeartbeatWriter* hb)>& body,
-    ShardStats* stats) {
-  if (!options.supervise) {
-    return RunForkedWorkers(options.num_shards, [&](size_t k) {
-      return body(k, 0, nullptr);
-    });
+/// with the shard's full failure history. A child's Status travels back as
+/// its exit code.
+Status RunShardWorkers(const ShardOptions& options,
+                       const std::string& out_path, const char* phase,
+                       const ShardBody& body, ShardStats* stats) {
+  if (options.workers_mode == WorkersMode::kThread) {
+    std::vector<Status> statuses(options.num_shards);
+    const size_t threads =
+        std::min(options.exec.ResolvedThreads(), options.num_shards);
+    ParallelFor(ExecPolicy{threads}, options.num_shards,
+                [&](size_t k) { statuses[k] = body(k, 0, nullptr); });
+    for (const Status& status : statuses) {
+      POPP_RETURN_IF_ERROR(status);
+    }
+    return Status::Ok();
   }
   std::vector<resil::WorkerTask> tasks(options.num_shards);
   for (size_t k = 0; k < options.num_shards; ++k) {
@@ -316,6 +262,10 @@ Status RunShardProcesses(
     stats->worker_restarts += report.worker_restarts;
   }
   return status;
+}
+
+size_t ShardRows(const ShardSummary& shard) {
+  return shard.summary.has_value() ? shard.summary->NumRows() : 0;
 }
 
 /// Builds the global class dictionary (union of the shard dictionaries in
@@ -553,7 +503,9 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
     }
   }
 
-  // Phase 1: summarize every shard in parallel.
+  // Phase 1: summarize every shard in parallel. Empty ranges have nothing
+  // to read. A forked worker hands its summary back as a `.sum` artifact.
+  const bool forked = options.workers_mode == WorkersMode::kProcess;
   const auto summarize_start = Clock::now();
   std::vector<ShardSummary> summaries(options.num_shards);
   for (size_t k = 0; k < options.num_shards; ++k) {
@@ -561,30 +513,20 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
     summaries[k].num_shards = options.num_shards;
     summaries[k].range = ranges[k];
   }
-  const ExecPolicy worker_exec =
-      options.num_shards == 1 ? options.exec : ExecPolicy::Serial();
-  if (options.workers_mode == WorkersMode::kThread) {
-    std::vector<Status> statuses(options.num_shards);
-    RunShardWorkers(options, [&](size_t k) {
-      statuses[k] = SummarizeShard(input_path, format.value(), options.csv,
-                                   options.chunk_rows, &summaries[k]);
-    });
-    for (const Status& status : statuses) {
-      if (!status.ok()) return status;
-    }
-  } else {
-    POPP_RETURN_IF_ERROR(RunShardProcesses(
-        options, out_path, "summarize",
-        [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
-          (void)attempt;  // summarize is stateless; a restart reruns whole
-          if (summaries[k].range.empty()) return Status::Ok();
-          POPP_RETURN_IF_ERROR(SummarizeShard(input_path, format.value(),
-                                              options.csv, options.chunk_rows,
-                                              &summaries[k], hb));
-          return SummaryCodec::Save(summaries[k],
-                                    ShardSummaryPath(out_path, k));
-        },
-        stats));
+  POPP_RETURN_IF_ERROR(RunShardWorkers(
+      options, out_path, "summarize",
+      [&](size_t k, size_t /*attempt*/, resil::HeartbeatWriter* hb) {
+        // Summarize is stateless; a restarted attempt reruns it whole.
+        if (summaries[k].range.empty()) return Status::Ok();
+        POPP_RETURN_IF_ERROR(SummarizeShard(input_path, format.value(),
+                                            options.csv, options.chunk_rows,
+                                            &summaries[k], hb));
+        if (!forked) return Status::Ok();
+        return SummaryCodec::Save(summaries[k],
+                                  ShardSummaryPath(out_path, k));
+      },
+      stats));
+  if (forked) {
     for (size_t k = 0; k < options.num_shards; ++k) {
       if (summaries[k].range.empty()) continue;
       auto loaded = SummaryCodec::Load(ShardSummaryPath(out_path, k));
@@ -637,48 +579,29 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
 
   // Phase 2: encode every shard in parallel, each behind its own journal.
   const auto encode_start = Clock::now();
-  if (options.workers_mode == WorkersMode::kThread) {
-    std::vector<Status> statuses(options.num_shards);
-    std::vector<stream::StreamStats> shard_stats(options.num_shards);
-    RunShardWorkers(options, [&](size_t k) {
-      statuses[k] =
-          EncodeShard(input_path, out_path, format.value(), options.csv,
-                      options, worker_exec, plan, k, ranges[k],
-                      &shard_stats[k]);
-    });
-    for (const Status& status : statuses) {
-      if (!status.ok()) return status;
-    }
-    if (stats != nullptr) {
-      for (const stream::StreamStats& s : shard_stats) {
-        stats->resumed_chunks += s.resumed_chunks;
-        stats->peak_resident_rows =
-            std::max(stats->peak_resident_rows, s.peak_resident_rows);
-      }
-    }
-  } else {
-    POPP_RETURN_IF_ERROR(RunShardProcesses(
-        options, out_path, "encode",
-        [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
-          return EncodeShard(input_path, out_path, format.value(),
-                             options.csv, options, worker_exec, plan, k,
-                             ranges[k], nullptr, attempt, hb);
-        },
-        stats));
-    if (stats != nullptr) {
-      // Children cannot report stats; the peak is determined by the layout.
-      for (size_t k = 0; k < options.num_shards; ++k) {
-        const size_t rows = summaries[k].summary.has_value()
-                                ? summaries[k].summary->NumRows()
-                                : 0;
-        stats->peak_resident_rows =
-            std::max(stats->peak_resident_rows,
-                     std::min(options.chunk_rows, rows));
-      }
-    }
-  }
+  const ExecPolicy worker_exec =
+      options.num_shards == 1 ? options.exec : ExecPolicy::Serial();
+  std::vector<stream::StreamStats> shard_stats(options.num_shards);
+  POPP_RETURN_IF_ERROR(RunShardWorkers(
+      options, out_path, "encode",
+      [&](size_t k, size_t attempt, resil::HeartbeatWriter* hb) {
+        return EncodeShard(input_path, out_path, format.value(), options,
+                           worker_exec, plan, k, ranges[k], &shard_stats[k],
+                           attempt, hb);
+      },
+      stats));
   if (stats != nullptr) {
     stats->encode_seconds = SecondsSince(encode_start);
+    for (size_t k = 0; k < options.num_shards; ++k) {
+      size_t peak = shard_stats[k].peak_resident_rows;
+      if (forked) {
+        // A forked worker's StreamStats stay in the child. Its peak is
+        // fixed by the layout, and it reports no resumed chunks.
+        peak = std::min(options.chunk_rows, ShardRows(summaries[k]));
+      }
+      stats->resumed_chunks += shard_stats[k].resumed_chunks;
+      stats->peak_resident_rows = std::max(stats->peak_resident_rows, peak);
+    }
   }
 
   // Finalize: bind the shards into one atomic, integrity-checked release.
@@ -690,9 +613,7 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
   for (size_t k = 0; k < options.num_shards; ++k) {
     ShardEntry entry;
     entry.index = k;
-    entry.rows = summaries[k].summary.has_value()
-                     ? summaries[k].summary->NumRows()
-                     : 0;
+    entry.rows = ShardRows(summaries[k]);
     entry.file = ShardFilePath(out_path, k);
     POPP_RETURN_IF_ERROR(
         HashShardFile(entry.file, &entry.bytes, &entry.crc));

@@ -34,7 +34,7 @@ namespace popp::shard {
 
 enum class WorkersMode {
   kThread,   ///< workers are ThreadPool tasks in this process
-  kProcess,  ///< workers are forked child processes
+  kProcess,  ///< workers are forked child processes under a watchdog
 };
 
 Result<WorkersMode> ParseWorkersMode(std::string_view name);
@@ -66,10 +66,6 @@ struct ShardOptions {
   /// encode worker resumes from its journal and only redoes missing
   /// chunks.
   size_t max_worker_restarts = 2;
-  /// Escape hatch for benchmarking the supervision overhead: false uses
-  /// the PR 9 fork-and-block path (no heartbeats, no watchdog, no
-  /// restarts). Thread-mode workers are never supervised.
-  bool supervise = true;
 };
 
 /// Observability of one sharded release.

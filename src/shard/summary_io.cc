@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "fault/file.h"
+#include "util/decimal.h"
 #include "util/integrity.h"
 
 namespace popp::shard {
@@ -72,32 +73,6 @@ bool ParseBitsHex(std::string_view hex, AttrValue* out) {
   }
   std::memcpy(out, &bits, sizeof(bits));
   return true;
-}
-
-bool ParseSize(std::string_view token, size_t* out) {
-  if (token.empty() || token.size() > 19) return false;
-  size_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-std::vector<std::string_view> SplitWords(std::string_view line) {
-  std::vector<std::string_view> words;
-  size_t start = 0;
-  while (start < line.size()) {
-    const size_t space = line.find(' ', start);
-    if (space == std::string_view::npos) {
-      words.push_back(line.substr(start));
-      break;
-    }
-    if (space > start) words.push_back(line.substr(start, space - start));
-    start = space + 1;
-  }
-  return words;
 }
 
 Status Corrupt(const std::string& what) {
@@ -177,39 +152,40 @@ Result<ShardSummary> SummaryCodec::Parse(std::string_view text) {
   if (!cursor.Next(&line)) return Corrupt("truncated after header");
   auto words = SplitWords(line);
   if (words.size() != 3 || words[0] != "shard" ||
-      !ParseSize(words[1], &shard.shard_index) ||
-      !ParseSize(words[2], &shard.num_shards)) {
+      !ParseDecimalU64(words[1], &shard.shard_index) ||
+      !ParseDecimalU64(words[2], &shard.num_shards)) {
     return Corrupt("malformed shard line");
   }
   if (!cursor.Next(&line)) return Corrupt("missing range line");
   words = SplitWords(line);
   if (words.size() != 3 || words[0] != "range" ||
-      !ParseSize(words[1], &shard.range.begin)) {
+      !ParseDecimalU64(words[1], &shard.range.begin)) {
     return Corrupt("malformed range line");
   }
   if (words[2] == "open") {
     shard.range.end = kOpenEnd;
-  } else if (!ParseSize(words[2], &shard.range.end)) {
+  } else if (!ParseDecimalU64(words[2], &shard.range.end)) {
     return Corrupt("malformed range line");
   }
   size_t rows = 0;
   if (!cursor.Next(&line)) return Corrupt("missing rows line");
   words = SplitWords(line);
-  if (words.size() != 2 || words[0] != "rows" || !ParseSize(words[1], &rows)) {
+  if (words.size() != 2 || words[0] != "rows" ||
+      !ParseDecimalU64(words[1], &rows)) {
     return Corrupt("malformed rows line");
   }
   size_t num_attributes = 0;
   if (!cursor.Next(&line)) return Corrupt("missing attributes line");
   words = SplitWords(line);
   if (words.size() != 2 || words[0] != "attributes" ||
-      !ParseSize(words[1], &num_attributes)) {
+      !ParseDecimalU64(words[1], &num_attributes)) {
     return Corrupt("malformed attributes line");
   }
   size_t num_classes = 0;
   if (!cursor.Next(&line)) return Corrupt("missing classes line");
   words = SplitWords(line);
   if (words.size() != 2 || words[0] != "classes" ||
-      !ParseSize(words[1], &num_classes)) {
+      !ParseDecimalU64(words[1], &num_classes)) {
     return Corrupt("malformed classes line");
   }
   shard.class_names.reserve(num_classes);
@@ -240,14 +216,14 @@ Result<ShardSummary> SummaryCodec::Parse(std::string_view text) {
     }
     size_t attr = 0;
     AttrValue value = 0;
-    if (!ParseSize(words[1], &attr) || attr >= num_attributes ||
+    if (!ParseDecimalU64(words[1], &attr) || attr >= num_attributes ||
         !ParseBitsHex(words[2], &value)) {
       return Corrupt("malformed value line");
     }
     std::vector<uint32_t> counts(num_classes, 0);
     for (size_t c = 0; c < num_classes; ++c) {
       size_t n = 0;
-      if (!ParseSize(words[3 + c], &n) || n > UINT32_MAX) {
+      if (!ParseDecimalU64(words[3 + c], &n) || n > UINT32_MAX) {
         return Corrupt("malformed value count");
       }
       counts[c] = static_cast<uint32_t>(n);

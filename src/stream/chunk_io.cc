@@ -103,32 +103,6 @@ Status DatasetChunkReader::Rewind() {
 }
 
 // ------------------------------------------------------------------------
-// CsvChunkWriter
-
-CsvChunkWriter::CsvChunkWriter(std::string path, CsvOptions options)
-    : path_(std::move(path)), options_(options) {}
-
-Status CsvChunkWriter::Append(const Dataset& chunk) {
-  if (out_ == nullptr) {
-    out_ = std::make_unique<fault::AtomicFileWriter>(path_);
-    POPP_RETURN_IF_ERROR(out_->Open());
-  }
-  CsvOptions chunk_options = options_;
-  chunk_options.has_header = options_.has_header && !wrote_header_;
-  wrote_header_ = true;
-  text_.clear();
-  AppendCsv(chunk, chunk_options, &text_);
-  return out_->Append(text_);
-}
-
-Status CsvChunkWriter::Close() {
-  if (out_ == nullptr) return Status::Ok();
-  const Status committed = out_->Commit();
-  out_.reset();
-  return committed;
-}
-
-// ------------------------------------------------------------------------
 // DatasetChunkWriter
 
 Status DatasetChunkWriter::Append(const Dataset& chunk) {

@@ -16,9 +16,10 @@
 /// source share a consistent schema — attribute names are fixed by the
 /// first chunk and the class-label dictionary grows append-only, so a
 /// ClassId seen in chunk i means the same label in every chunk j >= i.
-/// The CSV reader/writer pair is byte-compatible with ReadCsv/WriteCsv: a
-/// stream of chunks written with a header on the first chunk concatenates
-/// to exactly the bytes a one-shot WriteCsv would produce.
+/// The CSV reader is byte-compatible with ReadCsv; the CSV file sink
+/// (ResumableCsvChunkWriter, stream/manifest.h) writes the header once, so
+/// its chunks concatenate to exactly the bytes a one-shot WriteCsv would
+/// produce.
 
 namespace popp::stream {
 
@@ -126,29 +127,9 @@ class DatasetChunkReader : public ChunkReader {
   size_t next_row_ = 0;
 };
 
-/// Appends chunks to a CSV file; the header is written once, before the
-/// first chunk, so the finished file equals a one-shot WriteCsv of the
-/// concatenated chunks byte-for-byte. Publication is atomic: bytes are
-/// staged in `<path>.tmp` and renamed into place by Close, so no partial
-/// artifact ever appears under the final name. (For a journaled,
-/// resumable sink see stream/manifest.h.)
-class CsvChunkWriter : public ChunkWriter {
- public:
-  explicit CsvChunkWriter(std::string path, CsvOptions options = {});
-
-  Status Append(const Dataset& chunk) override;
-  Status Close() override;
-
- private:
-  std::string path_;
-  CsvOptions options_;
-  std::unique_ptr<fault::AtomicFileWriter> out_;
-  bool wrote_header_ = false;
-  std::string text_;  // reused for every chunk's CSV text
-};
-
 /// Collects chunks into one in-memory dataset (tests and the oracle use
-/// this to compare a streamed release against the batch release).
+/// this to compare a streamed release against the batch release). The
+/// file sink is ResumableCsvChunkWriter (stream/manifest.h).
 class DatasetChunkWriter : public ChunkWriter {
  public:
   Status Append(const Dataset& chunk) override;

@@ -131,35 +131,4 @@ Status ColsChunkReader::Rewind() {
   return Status::Ok();
 }
 
-// ------------------------------------------------------------------------
-// ColsChunkWriter
-
-ColsChunkWriter::ColsChunkWriter(std::string path)
-    : path_(std::move(path)) {}
-
-Status ColsChunkWriter::Append(const Dataset& chunk) {
-  POPP_CHECK_MSG(!closed_, "Append after Close");
-  if (!have_any_) {
-    collected_ = chunk;
-    have_any_ = true;
-    return Status::Ok();
-  }
-  if (chunk.NumAttributes() != collected_.NumAttributes()) {
-    return Status::InvalidArgument("chunk attribute count mismatch");
-  }
-  for (const std::string& name : chunk.schema().class_names()) {
-    collected_.mutable_schema().GetOrAddClass(name);
-  }
-  for (size_t r = 0; r < chunk.NumRows(); ++r) {
-    collected_.AddRow(chunk.Row(r), chunk.Label(r));
-  }
-  return Status::Ok();
-}
-
-Status ColsChunkWriter::Close() {
-  if (closed_) return Status::Ok();
-  closed_ = true;
-  return WriteCols(collected_, path_, &stats_);
-}
-
 }  // namespace popp::stream

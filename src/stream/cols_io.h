@@ -11,7 +11,7 @@
 #include "stream/chunk_io.h"
 
 /// \file
-/// Chunked I/O over popp-cols containers, and the format switch that lets
+/// Chunked reads of popp-cols containers, and the format switch that lets
 /// every pipeline stage (stream-release, batch release, risk trials,
 /// attack batteries) consume either CSV or popp-cols through one factory.
 ///
@@ -84,29 +84,6 @@ class ColsChunkReader : public ChunkReader {
   ColsView view_;
   bool open_ = false;
   size_t next_row_ = 0;
-};
-
-/// Collects released chunks and publishes them as one popp-cols container
-/// on Close — atomically, via the hardened writer, so the crash-safety
-/// oracle covers this sink like every other popp artifact. v1 stages the
-/// container in memory (the column encoder needs whole columns to pick
-/// dictionaries); bounded-memory spill is future work.
-class ColsChunkWriter : public ChunkWriter {
- public:
-  explicit ColsChunkWriter(std::string path);
-
-  Status Append(const Dataset& chunk) override;
-  Status Close() override;
-
-  /// Encoding stats of the committed container (valid after Close).
-  const ColsStats& stats() const { return stats_; }
-
- private:
-  std::string path_;
-  Dataset collected_;
-  bool have_any_ = false;
-  bool closed_ = false;
-  ColsStats stats_;
 };
 
 }  // namespace popp::stream

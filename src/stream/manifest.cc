@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/crc64.h"
+#include "util/decimal.h"
 
 namespace popp::stream {
 namespace {
@@ -31,32 +32,6 @@ std::vector<Line> SplitLines(std::string_view text) {
     start = nl + 1;
   }
   return lines;
-}
-
-bool ParseSize(std::string_view token, size_t* out) {
-  if (token.empty() || token.size() > 19) return false;
-  size_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-std::vector<std::string_view> SplitWords(std::string_view line) {
-  std::vector<std::string_view> words;
-  size_t start = 0;
-  while (start < line.size()) {
-    const size_t space = line.find(' ', start);
-    if (space == std::string_view::npos) {
-      words.push_back(line.substr(start));
-      break;
-    }
-    if (space > start) words.push_back(line.substr(start, space - start));
-    start = space + 1;
-  }
-  return words;
 }
 
 std::string ChunkLine(const ManifestChunk& chunk) {
@@ -97,9 +72,9 @@ Result<Manifest> LoadManifest(const std::string& path) {
     if (words.size() == 5 && words[0] == "chunk") {
       ManifestChunk chunk;
       uint64_t crc = 0;
-      if (!ParseSize(words[1], &chunk.index) ||
-          !ParseSize(words[2], &chunk.rows) ||
-          !ParseSize(words[3], &chunk.bytes) ||
+      if (!ParseDecimalU64(words[1], &chunk.index) ||
+          !ParseDecimalU64(words[2], &chunk.rows) ||
+          !ParseDecimalU64(words[3], &chunk.bytes) ||
           !ParseCrc64Hex(words[4], &crc) ||
           chunk.index != manifest.chunks.size()) {
         break;
@@ -110,8 +85,10 @@ Result<Manifest> LoadManifest(const std::string& path) {
     }
     if (words.size() == 4 && words[0] == "complete") {
       size_t chunks = 0, rows = 0, bytes = 0;
-      if (ParseSize(words[1], &chunks) && ParseSize(words[2], &rows) &&
-          ParseSize(words[3], &bytes) && chunks == manifest.chunks.size()) {
+      if (ParseDecimalU64(words[1], &chunks) &&
+          ParseDecimalU64(words[2], &rows) &&
+          ParseDecimalU64(words[3], &bytes) &&
+          chunks == manifest.chunks.size()) {
         manifest.complete = true;
       }
       break;

@@ -110,4 +110,19 @@ bool ParseDecimalU64(std::string_view text, uint64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
+std::vector<std::string_view> SplitWords(std::string_view line) {
+  std::vector<std::string_view> words;
+  size_t start = 0;
+  while (start < line.size()) {
+    const size_t space = line.find(' ', start);
+    if (space == std::string_view::npos) {
+      words.push_back(line.substr(start));
+      break;
+    }
+    if (space > start) words.push_back(line.substr(start, space - start));
+    start = space + 1;
+  }
+  return words;
+}
+
 }  // namespace popp

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 /// \file
 /// Exact decimal text for binary64 values: the "%.17g" that every popp
@@ -14,7 +15,9 @@
 /// back to the same bits. One implementation serves them all. It skips
 /// printf's format-string and locale work, which dominated CSV release
 /// formatting: nonzero values %g writes in fixed notation take an exact
-/// integer path, and the rest go to std::to_chars.
+/// integer path, and the rest go to std::to_chars. The file also holds the
+/// one strict integer rule and word splitter that popp's flag and artifact
+/// parsers share.
 
 namespace popp {
 
@@ -32,8 +35,13 @@ std::string FormatDouble17(double v);
 
 /// Reads `text` as an unsigned decimal integer that fits in 64 bits: one
 /// or more ASCII digits and nothing else (no sign, space or suffix). The
-/// number rule of every `popp` flag and popp-serve option.
+/// number rule of every `popp`, `popp_check` and popp-serve flag, every
+/// serve option, and every count in popp's machine-written artifacts.
 bool ParseDecimalU64(std::string_view text, uint64_t* out);
+
+/// Splits an artifact line at spaces into its non-empty words (runs of
+/// spaces separate like one).
+std::vector<std::string_view> SplitWords(std::string_view line);
 
 }  // namespace popp
 

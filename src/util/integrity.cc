@@ -4,24 +4,12 @@
 #include <sstream>
 
 #include "util/crc64.h"
+#include "util/decimal.h"
 
 namespace popp {
 namespace {
 
 constexpr std::string_view kFooterWord = "footer ";
-
-/// Parses a non-negative decimal with no sign, no leading zeros games —
-/// strict on purpose, the footer is machine-written.
-bool ParseDecimal(std::string_view token, size_t* out) {
-  if (token.empty() || token.size() > 19) return false;
-  size_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
 
 }  // namespace
 
@@ -57,7 +45,7 @@ Result<std::string_view> VerifyIntegrityFooter(std::string_view text,
     return Status::DataLoss("malformed integrity footer line");
   }
   size_t stated_len = 0;
-  if (!ParseDecimal(line.substr(0, space), &stated_len)) {
+  if (!ParseDecimalU64(line.substr(0, space), &stated_len)) {
     return Status::DataLoss("malformed integrity footer length field");
   }
   uint64_t stated_crc = 0;

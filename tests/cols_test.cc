@@ -194,8 +194,8 @@ TEST(ColsCsvBridge, NegativeZeroSurvivesTheFullCycle) {
 
 TEST(ColsCsvBridge, QuotedFieldsSpanningTinyReadBuffersConvert) {
   // Stream a CSV whose quoted class labels straddle every read-buffer
-  // seam, feed the chunks into a cols writer, and require the container
-  // to reproduce the one-shot parse exactly.
+  // seam, collect the chunks, write them as one container, and require
+  // the container to reproduce the one-shot parse exactly.
   const std::string csv_path = TempPath("cols_quoted_seams.csv");
   const std::string csv_text =
       "x,\"cl,ass\"\n1,\"alpha,beta\"\n2,\"gam\"\"ma\"\n3,\"alpha,beta\"\n";
@@ -205,14 +205,14 @@ TEST(ColsCsvBridge, QuotedFieldsSpanningTinyReadBuffersConvert) {
   for (const size_t buffer_bytes : {1u, 2u, 7u}) {
     stream::CsvChunkReader reader(csv_path, {}, buffer_bytes);
     const std::string cols_path = TempPath("cols_quoted_seams.cols");
-    stream::ColsChunkWriter writer(cols_path);
+    stream::DatasetChunkWriter writer;
     for (;;) {
       auto chunk = reader.NextChunk(2);
       ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
       if (chunk.value().NumRows() == 0) break;
       ASSERT_TRUE(writer.Append(chunk.value()).ok());
     }
-    ASSERT_TRUE(writer.Close().ok());
+    ASSERT_TRUE(WriteCols(writer.collected(), cols_path).ok());
     auto loaded = ReadCols(cols_path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_TRUE(loaded.value() == whole.value())
@@ -350,17 +350,20 @@ TEST(ColsChunkIo, ParseDatasetFormatNamesRoundTrip) {
 TEST(ColsChunkIo, WriterMergesGrowingClassDictionaries)
 {
   // Chunks arriving with append-only-growing schemas (the CSV streaming
-  // shape) merge into one container with the union dictionary.
+  // shape) merge into one dataset with the union dictionary, which a
+  // container then carries intact.
   Dataset first({"x"}, {"a"});
   first.AddRow({1.0}, 0);
   Dataset second({"x"}, {"a", "b"});
   second.AddRow({2.0}, 1);
-  const std::string path = TempPath("cols_writer_merge.cols");
-  stream::ColsChunkWriter writer(path);
+  stream::DatasetChunkWriter writer;
   ASSERT_TRUE(writer.Append(first).ok());
   ASSERT_TRUE(writer.Append(second).ok());
   ASSERT_TRUE(writer.Close().ok());
-  EXPECT_GT(writer.stats().bytes, 0u);
+  const std::string path = TempPath("cols_writer_merge.cols");
+  ColsStats stats;
+  ASSERT_TRUE(WriteCols(writer.collected(), path, &stats).ok());
+  EXPECT_GT(stats.bytes, 0u);
   auto loaded = ReadCols(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().NumRows(), 2u);

@@ -882,6 +882,46 @@ TEST(ShardProcessTest, WorkerFailureSurfacesThroughExitCodes) {
       << plan.status().ToString();
 }
 
+TEST(ShardProcessTest, StatsMatchThreadMode) {
+  // Both worker modes run the same runner; a forked worker's stream stats
+  // stay in the child, so the coordinator derives them from the layout.
+  // Over one shard, several, and more shards than rows, the two modes
+  // must agree on every shard file and on every stat both report.
+  struct Layout {
+    size_t rows;
+    size_t shards;
+  };
+  for (const Layout layout : {Layout{70, 1}, Layout{70, 3}, Layout{3, 5}}) {
+    const std::string where = "rows=" + std::to_string(layout.rows) +
+                              " shards=" + std::to_string(layout.shards);
+    const Dataset data = CovtypeLikeData(layout.rows, 89);
+    const std::string input = WriteInput(data, "stats_modes.csv", false);
+    ShardStats stats[2];
+    std::string outs[2];
+    const shard::WorkersMode modes[2] = {shard::WorkersMode::kThread,
+                                         shard::WorkersMode::kProcess};
+    for (size_t m = 0; m < 2; ++m) {
+      ShardOptions options = BaseOptions(layout.shards, 2, 32, 13);
+      options.workers_mode = modes[m];
+      outs[m] = TempPath(m == 0 ? "stats_thread_out" : "stats_process_out");
+      auto plan = ShardedCustodian::Release(input, outs[m], options, &stats[m]);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString() << " " << where;
+    }
+    for (size_t k = 0; k < layout.shards; ++k) {
+      EXPECT_EQ(Slurp(shard::ShardFilePath(outs[0], k)),
+                Slurp(shard::ShardFilePath(outs[1], k)))
+          << where << " shard " << k;
+    }
+    EXPECT_EQ(stats[0].rows, layout.rows) << where;
+    EXPECT_EQ(stats[1].rows, stats[0].rows) << where;
+    EXPECT_EQ(stats[1].shards, stats[0].shards) << where;
+    EXPECT_EQ(stats[1].empty_shards, stats[0].empty_shards) << where;
+    EXPECT_EQ(stats[1].released_bytes, stats[0].released_bytes) << where;
+    EXPECT_EQ(stats[1].peak_resident_rows, stats[0].peak_resident_rows)
+        << where;
+  }
+}
+
 // -------------------------------------------------- startup debris sweep --
 
 /// A fresh directory so the sweep's directory scan sees only what the
@@ -1094,29 +1134,6 @@ TEST(ShardProcessSupervisionTest, CrashedWorkerIsRestartedAndConverges) {
   EXPECT_EQ(stats.workers_killed, 0u);  // a crash is not a hang
   const uint64_t crc = Crc64(golden_plan);
   EXPECT_TRUE(shard::VerifyShardedRelease(out, &crc, nullptr).ok());
-}
-
-TEST(ShardProcessSupervisionTest, UnsupervisedEscapeHatchStaysByteIdentical) {
-  // supervise=false is the benchmark baseline (the PR 9 fork-and-block
-  // path): same bytes, no heartbeat files, zeroed supervision counters.
-  const Dataset data = CovtypeLikeData(70, 83);
-  const std::string input = WriteInput(data, "sup_off.csv", false);
-  std::string golden_plan;
-  const std::string golden = StreamReleaseBytes(input, 24, 11, &golden_plan);
-  const std::string out = TempPath("sup_off_out");
-  ShardOptions options = BaseOptions(2, 1, 24, 11);
-  options.workers_mode = shard::WorkersMode::kProcess;
-  options.supervise = false;
-  ShardStats stats;
-  auto plan = ShardedCustodian::Release(input, out, options, &stats);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(SerializePlan(plan.value()), golden_plan);
-  EXPECT_EQ(ConcatShards(out, 2), golden);
-  EXPECT_EQ(stats.workers_killed, 0u);
-  EXPECT_EQ(stats.worker_restarts, 0u);
-  for (size_t k = 0; k < 2; ++k) {
-    EXPECT_FALSE(fault::FileExists(shard::ShardFilePath(out, k) + ".hb"));
-  }
 }
 
 // ---------------------------------------------------------- the oracle --

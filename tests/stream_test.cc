@@ -26,11 +26,11 @@ namespace popp {
 namespace {
 
 using stream::CsvChunkReader;
-using stream::CsvChunkWriter;
 using stream::DatasetChunkReader;
 using stream::DatasetChunkWriter;
 using stream::IncrementalSummary;
 using stream::OodPolicy;
+using stream::ResumableCsvChunkWriter;
 using stream::StreamingCustodian;
 using stream::StreamOptions;
 using stream::StreamStats;
@@ -44,6 +44,14 @@ std::string WriteTempCsv(const Dataset& d, const std::string& name) {
   const std::string path = testing::TempDir() + "/" + name;
   EXPECT_TRUE(WriteCsv(d, path).ok());
   return path;
+}
+
+/// The file sink publishes by renaming `<path>.partial` into place and
+/// retires its journal: after Close no working file may remain.
+void ExpectNoWorkingFiles(const std::string& path) {
+  for (const char* suffix : {".partial", ".manifest", ".tmp"}) {
+    EXPECT_FALSE(fault::FileExists(path + suffix)) << path << suffix;
+  }
 }
 
 /// The batch baseline every streamed release is compared against.
@@ -141,7 +149,7 @@ TEST(ChunkIoTest, CsvReaderMatchesReadCsvAcrossChunkSizes) {
 TEST(ChunkIoTest, CsvWriterConcatenatesToOneShotBytes) {
   const Dataset data = CovtypeLikeData(150);
   const std::string path = testing::TempDir() + "/stream_writer.csv";
-  CsvChunkWriter writer(path);
+  ResumableCsvChunkWriter writer(path);
   DatasetChunkReader reader(&data);
   for (;;) {
     auto chunk = reader.NextChunk(11);
@@ -154,6 +162,7 @@ TEST(ChunkIoTest, CsvWriterConcatenatesToOneShotBytes) {
   std::string written((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(written, ToCsvString(data));
+  ExpectNoWorkingFiles(path);
 }
 
 TEST(ChunkIoTest, RewindRestartsFromFirstRow) {
@@ -219,7 +228,7 @@ TEST(StreamReleaseTest, FromCsvFileMatchesBatch) {
   options.seed = seed;
   CsvChunkReader reader(in_path);
   const std::string out_path = testing::TempDir() + "/stream_out.csv";
-  CsvChunkWriter writer(out_path);
+  ResumableCsvChunkWriter writer(out_path);
   auto plan = StreamingCustodian::Release(reader, writer, options);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::ifstream in(out_path, std::ios::binary);
@@ -227,6 +236,7 @@ TEST(StreamReleaseTest, FromCsvFileMatchesBatch) {
                        std::istreambuf_iterator<char>());
   EXPECT_EQ(released, ToCsvString(batch.released));
   EXPECT_EQ(SerializePlan(plan.value()), SerializePlan(batch.plan));
+  ExpectNoWorkingFiles(out_path);
 }
 
 TEST(StreamReleaseTest, MinedTreesIdenticalForGiniAndEntropy) {
@@ -394,8 +404,6 @@ TEST(StreamReleaseTest, ReleaseWithLoadedPlanMatchesBatchEncode) {
 }
 
 // ------------------------------------------------------ crash + resume --
-
-using stream::ResumableCsvChunkWriter;
 
 /// One streamed release into the journaled sink at `path`.
 Status ResumableRelease(const Dataset& data, const StreamOptions& options,

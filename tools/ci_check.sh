@@ -24,9 +24,12 @@
 # controlled daemon, under a hard wall-clock timeout so an undetected
 # hang fails the gate instead of stalling it — plus the resilience-layer
 # test battery (retry/deadline/admission, the worker watchdog, the
-# startup debris sweep and the hang-injection fail points). Any
-# failure — test, sanitizer report, oracle, or timeout — fails the
-# script.
+# startup debris sweep and the hang-injection fail points). The last
+# stage builds the release benchmark (perfbench/) against this checkout
+# and runs its tiny self-check, so a library change that breaks the
+# benchmark fails here instead of at the next benchmark run. Any
+# failure — test, sanitizer report, oracle, benchmark self-check, or
+# timeout — fails the script.
 
 set -euo pipefail
 
@@ -235,5 +238,14 @@ cmp "$serve_dir/oneshot.csv" "$serve_dir/served_from_cols.csv"
 "$build_dir/tools/popp" serve-client "$sock" shutdown
 wait "$serve_pid"
 [ ! -e "$sock" ] || { echo "daemon left its socket behind"; exit 1; }
+
+echo "== release benchmark: build + tiny self-check =="
+# perfbench links the library and calls shard::CountRows,
+# ChunkReader::SkipRows, the StreamStats/ShardStats fields, PlanKey::Make
+# and the one-argument ResumableCsvChunkWriter. The self-check builds it
+# from this checkout into .bench_build/ and runs every workload on tiny
+# inputs, untraced and traced, checking every metric and the output
+# bytes (about 90 s).
+(cd "$repo_root" && python3 perfbench/selfcheck.py)
 
 echo "ci_check: all gates passed"

@@ -3,13 +3,14 @@
 // per-oracle pass/fail table, and shrink + persist the first failure as a
 // CSV + recipe reproducer. See `popp_check --help`.
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "check/runner.h"
+#include "util/decimal.h"
 
 namespace {
 
@@ -39,12 +40,6 @@ exit status: 0 all oracles passed, 1 a failure was found (or a replayed
 recipe still fails), 2 bad usage.
 )";
 
-bool ParseUint(const std::string& text, uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,21 +58,21 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--trials") {
       const std::string* v = value();
-      if (!v || !ParseUint(*v, n) || n == 0) {
+      if (!v || !popp::ParseDecimalU64(*v, &n) || n == 0) {
         std::cerr << "popp_check: --trials needs a positive integer\n";
         return 2;
       }
       options.trials = static_cast<size_t>(n);
     } else if (arg == "--seed") {
       const std::string* v = value();
-      if (!v || !ParseUint(*v, n)) {
+      if (!v || !popp::ParseDecimalU64(*v, &n)) {
         std::cerr << "popp_check: --seed needs an integer\n";
         return 2;
       }
       options.seed = n;
     } else if (arg == "--time-budget-ms") {
       const std::string* v = value();
-      if (!v || !ParseUint(*v, n)) {
+      if (!v || !popp::ParseDecimalU64(*v, &n)) {
         std::cerr << "popp_check: --time-budget-ms needs an integer\n";
         return 2;
       }
@@ -103,7 +98,7 @@ int main(int argc, char** argv) {
       options.only_oracle = *v;
     } else if (arg == "--max-rows") {
       const std::string* v = value();
-      if (!v || !ParseUint(*v, n) || n == 0) {
+      if (!v || !popp::ParseDecimalU64(*v, &n) || n == 0) {
         std::cerr << "popp_check: --max-rows needs a positive integer\n";
         return 2;
       }
@@ -112,7 +107,7 @@ int main(int argc, char** argv) {
           std::min(options.generator.min_rows, options.generator.max_rows);
     } else if (arg == "--max-attrs") {
       const std::string* v = value();
-      if (!v || !ParseUint(*v, n) || n == 0) {
+      if (!v || !popp::ParseDecimalU64(*v, &n) || n == 0) {
         std::cerr << "popp_check: --max-attrs needs a positive integer\n";
         return 2;
       }

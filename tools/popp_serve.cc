@@ -46,13 +46,6 @@ exit codes: 0 graceful shutdown, 1 runtime failure, 2 usage error
 (including a live socket), 3 socket/I-O error.
 )";
 
-bool ParseSize(const std::string& text, size_t* out) {
-  uint64_t v = 0;
-  if (!popp::ParseDecimalU64(text, &v)) return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,14 +62,14 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--threads") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.num_threads) ||
+      if (!v || !popp::ParseDecimalU64(*v, &options.num_threads) ||
           options.num_threads == 0) {
         std::cerr << "popp-serve: --threads needs a positive integer\n";
         return 2;
       }
     } else if (arg == "--cache-capacity") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.cache_capacity) ||
+      if (!v || !popp::ParseDecimalU64(*v, &options.cache_capacity) ||
           options.cache_capacity == 0) {
         std::cerr << "popp-serve: --cache-capacity needs a positive "
                      "integer\n";
@@ -84,7 +77,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--max-request-threads") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.max_request_threads) ||
+      if (!v || !popp::ParseDecimalU64(*v, &options.max_request_threads) ||
           options.max_request_threads == 0) {
         std::cerr << "popp-serve: --max-request-threads needs a positive "
                      "integer\n";
@@ -92,20 +85,20 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--max-inflight") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.max_inflight)) {
+      if (!v || !popp::ParseDecimalU64(*v, &options.max_inflight)) {
         std::cerr << "popp-serve: --max-inflight needs an integer "
                      "(0 = match --threads)\n";
         return 2;
       }
     } else if (arg == "--max-queue") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.max_queue)) {
+      if (!v || !popp::ParseDecimalU64(*v, &options.max_queue)) {
         std::cerr << "popp-serve: --max-queue needs an integer\n";
         return 2;
       }
     } else if (arg == "--tenant-cap") {
       const std::string* v = value();
-      if (!v || !ParseSize(*v, &options.per_tenant_inflight)) {
+      if (!v || !popp::ParseDecimalU64(*v, &options.per_tenant_inflight)) {
         std::cerr << "popp-serve: --tenant-cap needs an integer (0 = off)\n";
         return 2;
       }
