@@ -41,9 +41,9 @@ constexpr char kUsage[] =
     "none|bp|maxmp]\n"
     "         [--breakpoints W] [--anti]\n"
     "  stream-release <in.csv> <out.csv> <key.out> [--chunk-rows N]\n"
-    "         [--ood-policy reject|clamp|extend-piece|refit] [--fit-rows N]\n"
-    "         [--key-in key] [--seed N] [--policy none|bp|maxmp]\n"
-    "         [--breakpoints W] [--anti] [--resume]\n"
+    "         [--key-in key [--ood-policy reject|clamp|extend-piece]]\n"
+    "         [--seed N] [--policy none|bp|maxmp] [--breakpoints W] [--anti]\n"
+    "         [--resume]\n"
     "  shard-release <in> <out> <key.out> [--shards N] [--workers-mode\n"
     "         thread|process] [--chunk-rows N] [--seed N]\n"
     "         [--policy none|bp|maxmp] [--breakpoints W] [--anti] [--resume]\n"
@@ -337,12 +337,17 @@ int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
     err << "--chunk-rows must be >= 1\n";
     return 2;
   }
-  options.fit_rows = FlagInt(args, "fit-rows", 0);
+  auto key_it = args.flags.find("key-in");
   auto policy_it = args.flags.find("ood-policy");
   if (policy_it != args.flags.end()) {
     auto policy = stream::ParseOodPolicy(policy_it->second);
     if (!policy.ok()) {
       err << policy.status().ToString() << "\n";
+      return 2;
+    }
+    if (key_it == args.flags.end()) {
+      err << "--ood-policy needs --key-in: without a key the release fits "
+             "on every row, so no value is out of domain\n";
       return 2;
     }
     options.ood_policy = policy.value();
@@ -363,7 +368,6 @@ int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
                                          args.flags.count("resume") > 0);
   stream::StreamStats stats;
   Result<TransformPlan> plan = TransformPlan();
-  auto key_it = args.flags.find("key-in");
   if (key_it != args.flags.end()) {
     auto loaded = LoadPlan(key_it->second);
     if (!loaded.ok()) {
@@ -839,8 +843,7 @@ const std::map<std::string, Command>& Commands() {
                               "format"}}},
       {"stream-release",
        {CmdStreamRelease, {"seed", "policy", "breakpoints", "anti", "format",
-                           "chunk-rows", "ood-policy", "fit-rows", "key-in",
-                           "resume"}}},
+                           "chunk-rows", "ood-policy", "key-in", "resume"}}},
       {"shard-release",
        {CmdShardRelease, {"seed", "policy", "breakpoints", "anti", "format",
                           "shards", "workers-mode", "chunk-rows", "resume",

@@ -59,7 +59,6 @@ stream::StreamOptions WorkerStreamOptions(const ShardOptions& options,
   stream::StreamOptions so;
   so.chunk_rows = options.chunk_rows;
   so.ood_policy = stream::OodPolicy::kReject;
-  so.fit_rows = 0;
   so.transform = options.transform;
   so.seed = options.seed;
   so.exec = exec;

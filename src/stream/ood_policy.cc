@@ -10,8 +10,6 @@ std::string ToString(OodPolicy policy) {
       return "clamp";
     case OodPolicy::kExtendPiece:
       return "extend-piece";
-    case OodPolicy::kRefit:
-      return "refit";
   }
   return "unknown";
 }
@@ -20,10 +18,8 @@ Result<OodPolicy> ParseOodPolicy(const std::string& text) {
   if (text == "reject") return OodPolicy::kReject;
   if (text == "clamp") return OodPolicy::kClamp;
   if (text == "extend-piece") return OodPolicy::kExtendPiece;
-  if (text == "refit") return OodPolicy::kRefit;
-  return Status::InvalidArgument(
-      "unknown --ood-policy '" + text +
-      "' (expected reject, clamp, extend-piece or refit)");
+  return Status::InvalidArgument("unknown --ood-policy '" + text +
+                                 "' (expected reject, clamp or extend-piece)");
 }
 
 }  // namespace popp::stream

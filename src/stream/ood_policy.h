@@ -6,9 +6,10 @@
 #include "util/status.h"
 
 /// \file
-/// Out-of-domain handling for streamed releases. A plan fitted on a prefix
-/// (or loaded from disk) only covers the active-domain hull it saw; values
-/// beyond that hull arriving mid-stream need an explicit policy:
+/// Out-of-domain handling for streamed releases under a given key
+/// (`StreamingCustodian::ReleaseWithPlan`, `--key-in`). A loaded plan only
+/// covers the active-domain hull it was fitted on; values beyond that hull
+/// need an explicit policy:
 ///
 ///  - reject:       fail the release with an actionable error.
 ///  - clamp:        encode as the nearest fitted-hull endpoint. Collides
@@ -19,11 +20,9 @@
 ///                  (resp. -reversing), never collides with an in-domain
 ///                  image, so Definition 8 — and with it the
 ///                  no-outcome-change argument — survives.
-///  - refit:        absorb the offending chunk into the running summary and
-///                  refit the plan with the same seed before encoding it.
 ///
 /// The two-pass streamed fit sees every value before encoding, so none of
-/// these trigger there; they exist for the prefix-fit and loaded-plan modes.
+/// these trigger there.
 /// The fitted hull is DomainBounds (transform/compiled.h); the clamp and
 /// extend-piece encoders are CompiledTransform::EncodeClamped and
 /// EncodeExtended.
@@ -34,10 +33,9 @@ enum class OodPolicy {
   kReject,
   kClamp,
   kExtendPiece,
-  kRefit,
 };
 
-/// Returns "reject", "clamp", "extend-piece" or "refit".
+/// Returns "reject", "clamp" or "extend-piece".
 std::string ToString(OodPolicy policy);
 
 /// Parses the CLI spelling (as produced by ToString).

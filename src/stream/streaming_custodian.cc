@@ -40,8 +40,8 @@ std::string RejectMessage(const Schema& schema, size_t attr, AttrValue x,
       << schema.AttributeName(attr) << "' = " << FormatCsvCell(x)
       << " is outside the fitted domain [" << FormatCsvCell(hull.lo) << ", "
       << FormatCsvCell(hull.hi)
-      << "] (active ood-policy: reject; rerun with --ood-policy clamp, "
-         "extend-piece or refit, or refit the plan on newer data)";
+      << "] (active ood-policy: reject; rerun with --ood-policy clamp or "
+         "extend-piece, or refit the plan on newer data)";
   return oss.str();
 }
 
@@ -77,11 +77,6 @@ Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
           case OodPolicy::kExtendPiece:
             col[r] = ct.EncodeExtended(x);
             continue;
-          case OodPolicy::kRefit:
-            // Unreachable: the refit path re-fits the plan on a summary
-            // that includes this chunk before encoding it, so the hull
-            // covers every value. Fall through to the exact encode.
-            break;
         }
       }
       col[r] = ct.Apply(x);
@@ -107,28 +102,16 @@ Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
   return Status::Ok();
 }
 
-/// Out-of-hull values of `chunk` per attribute under `compiled`.
-std::vector<size_t> CountOod(const Dataset& chunk, const CompiledPlan& compiled,
-                             const ExecPolicy& exec) {
-  std::vector<size_t> ood(compiled.NumAttributes(), 0);
-  ParallelFor(exec, ood.size(), [&](size_t attr) {
-    const DomainBounds& hull = compiled.transform(attr).bounds();
-    for (const AttrValue x : chunk.Column(attr)) ood[attr] += !hull.Contains(x);
-  });
-  return ood;
-}
-
-/// The encode pass: read, (refit), encode, append — chunk by chunk.
+/// The encode pass: read, encode, append — chunk by chunk.
 Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
-                    TransformPlan& plan, const StreamOptions& options,
+                    const TransformPlan& plan, const StreamOptions& options,
                     StreamStats* stats) {
   POPP_RETURN_IF_ERROR(
       writer.BeginStream(StreamFingerprint(plan, options)));
   const size_t completed = writer.CompletedChunks();
   size_t chunk_index = 0;
-  std::unique_ptr<IncrementalSummary> running;  // kRefit only
   size_t rows_before = 0;
-  CompiledPlan compiled = CompiledPlan::Compile(plan);
+  const CompiledPlan compiled = CompiledPlan::Compile(plan);
   for (;;) {
     const auto encode_start = Clock::now();
     Result<Dataset> next = reader.NextChunk(options.chunk_rows);
@@ -154,39 +137,9 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
       stats->peak_resident_rows =
           std::max(stats->peak_resident_rows, chunk.NumRows());
     }
-    if (options.ood_policy == OodPolicy::kRefit) {
-      if (running == nullptr) {
-        running =
-            std::make_unique<IncrementalSummary>(chunk.NumAttributes());
-      }
-      running->Absorb(chunk);
-      const std::vector<size_t> ood = CountOod(chunk, compiled, options.exec);
-      if (std::any_of(ood.begin(), ood.end(), [](size_t n) { return n > 0; })) {
-        // Count the chunk's out-of-domain hits against the *old* plan,
-        // then refit deterministically from everything seen so far (the
-        // absorbed summary includes this chunk, so the new hull covers it).
-        if (stats != nullptr) {
-          for (size_t attr = 0; attr < ood.size(); ++attr) {
-            stats->ood_total += ood[attr];
-            stats->ood_by_attribute[attr] += ood[attr];
-          }
-        }
-        const auto fit_start = Clock::now();
-        Rng rng(options.seed);
-        plan = TransformPlan::CreateFromSummaries(
-            running->SummarizeAll(), options.transform, rng, options.exec);
-        compiled = CompiledPlan::Compile(plan);
-        if (stats != nullptr) {
-          stats->refits++;
-          stats->fit_seconds += SecondsSince(fit_start);
-        }
-      }
-    }
     if (chunk_index < completed) {
-      // An interrupted run already persisted (and checksummed) this chunk.
-      // It was still read — and, under kRefit, absorbed — above, so the
-      // plan evolves exactly as in the uninterrupted run; only the encode
-      // and the append are skipped.
+      // An interrupted run already persisted (and checksummed) this chunk;
+      // it was read only so the sink can cross-check its row count.
       POPP_RETURN_IF_ERROR(writer.NoteSkipped(chunk_index, chunk.NumRows()));
       if (stats != nullptr) {
         stats->resumed_chunks++;
@@ -216,10 +169,9 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
 std::string StreamFingerprint(const TransformPlan& plan,
                               const StreamOptions& options) {
   std::ostringstream oss;
-  oss << "chunk_rows=" << options.chunk_rows << " ood="
-      << ToString(options.ood_policy) << " fit_rows=" << options.fit_rows
-      << " seed=" << options.seed << " plan_crc="
-      << Crc64Hex(Crc64(SerializePlan(plan)));
+  oss << "chunk_rows=" << options.chunk_rows
+      << " ood=" << ToString(options.ood_policy) << " seed=" << options.seed
+      << " plan_crc=" << Crc64Hex(Crc64(SerializePlan(plan)));
   return oss.str();
 }
 
@@ -231,8 +183,7 @@ std::string StreamStats::Render() const {
     oss << "resumed: " << resumed_chunks
         << " chunks reused from the interrupted run\n";
   }
-  oss << "out-of-domain values: " << ood_total << ", plan refits: " << refits
-      << "\n";
+  oss << "out-of-domain values: " << ood_total << "\n";
   for (size_t attr = 0; attr < ood_by_attribute.size(); ++attr) {
     if (ood_by_attribute[attr] > 0) {
       const std::string name = attr < attribute_names.size()
@@ -256,18 +207,11 @@ Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
   if (stats != nullptr) {
     *stats = StreamStats{};
   }
-  // Pass 1: fold chunks into the incremental summary — the whole stream by
-  // default, or just the first fit_rows rows in prefix mode.
+  // Pass 1: fold every chunk into the incremental summary.
   const auto summarize_start = Clock::now();
   std::unique_ptr<IncrementalSummary> summary;
-  size_t absorbed = 0;
   for (;;) {
-    size_t want = options.chunk_rows;
-    if (options.fit_rows > 0) {
-      if (absorbed >= options.fit_rows) break;
-      want = std::min(want, options.fit_rows - absorbed);
-    }
-    Result<Dataset> next = reader.NextChunk(want);
+    Result<Dataset> next = reader.NextChunk(options.chunk_rows);
     if (!next.ok()) return next.status();
     const Dataset& chunk = next.value();
     if (chunk.NumRows() == 0) break;
@@ -275,7 +219,6 @@ Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
       summary = std::make_unique<IncrementalSummary>(chunk.NumAttributes());
     }
     summary->Absorb(chunk);
-    absorbed += chunk.NumRows();
     if (stats != nullptr) {
       stats->peak_resident_rows =
           std::max(stats->peak_resident_rows, chunk.NumRows());

@@ -29,14 +29,9 @@ struct StreamOptions {
   /// fit pass.
   size_t chunk_rows = 4096;
 
-  /// What to do with values outside the fitted plan's active-domain hull.
-  /// Never triggers in the default two-pass mode (the fit sees every row).
+  /// What ReleaseWithPlan does with values the given plan was not fitted
+  /// on. Release fits on every row, so it never meets one.
   OodPolicy ood_policy = OodPolicy::kReject;
-
-  /// 0 (default): two-pass fit — summarize the whole stream, rewind,
-  /// encode. > 0: fit the plan on the first `fit_rows` rows only; the
-  /// remainder of the stream relies on `ood_policy` for unseen values.
-  size_t fit_rows = 0;
 
   /// How the plan is sampled (forwarded to TransformPlan).
   PiecewiseOptions transform;
@@ -56,13 +51,12 @@ struct StreamStats {
   size_t chunks = 0;          ///< chunks processed in the encode pass
   size_t resumed_chunks = 0;  ///< chunks reused from an interrupted run
   size_t peak_resident_rows = 0;  ///< largest chunk held in memory
-  size_t refits = 0;          ///< plan refits under OodPolicy::kRefit
   size_t ood_total = 0;       ///< out-of-domain values across attributes
   std::vector<size_t> ood_by_attribute;  ///< OOD hits per attribute
   std::vector<std::string> attribute_names;  ///< from the stream's schema
 
   double summarize_seconds = 0;  ///< pass 1: reading + absorbing chunks
-  double fit_seconds = 0;        ///< plan sampling (including refits)
+  double fit_seconds = 0;        ///< plan sampling
   double encode_seconds = 0;     ///< pass 2: reading + transforming chunks
   double write_seconds = 0;      ///< appending released chunks to the sink
 
@@ -83,19 +77,17 @@ std::string StreamFingerprint(const TransformPlan& plan,
 /// Stateless driver of the streamed workflow.
 class StreamingCustodian {
  public:
-  /// Fits a plan from the stream (two-pass by default, prefix when
-  /// `options.fit_rows > 0`), rewinds the reader, then encodes and appends
-  /// every chunk. Returns the final plan (the custodian's decoding key —
-  /// after a refit, the refitted plan). `stats`, if non-null, is reset and
-  /// filled.
+  /// Fits a plan on every row of the stream, rewinds the reader, then
+  /// encodes and appends every chunk. Returns the plan (the custodian's
+  /// decoding key). `stats`, if non-null, is reset and filled.
   static Result<TransformPlan> Release(ChunkReader& reader,
                                        ChunkWriter& writer,
                                        const StreamOptions& options,
                                        StreamStats* stats = nullptr);
 
-  /// Encodes the stream with an existing plan (e.g. loaded via
-  /// transform/serialize) — single pass, no rewind. `options.fit_rows` is
-  /// ignored; `ood_policy` governs values the plan has never seen.
+  /// Encodes the stream under a given plan (e.g. loaded via
+  /// transform/serialize) — single pass, no rewind; `ood_policy` governs
+  /// values the plan was not fitted on. Returns `plan`.
   static Result<TransformPlan> ReleaseWithPlan(ChunkReader& reader,
                                                ChunkWriter& writer,
                                                TransformPlan plan,

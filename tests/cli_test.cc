@@ -264,14 +264,30 @@ TEST_F(CliTest, StreamReleaseMatchesEncodeBytes) {
   EXPECT_EQ(key_a, key_b);
 }
 
+/// Fits a key on the first `rows` rows of `data` with `popp encode --seed
+/// 9` and returns its path.
+std::string FitPrefixKey(const Dataset& data, size_t rows,
+                         const std::string& name) {
+  std::vector<size_t> prefix(rows);
+  for (size_t r = 0; r < rows; ++r) prefix[r] = r;
+  const std::string csv = TempPath(name + "_prefix.csv");
+  EXPECT_TRUE(WriteCsv(data.Select(prefix), csv).ok());
+  const std::string key = TempPath(name + "_prefix.key");
+  EXPECT_EQ(RunPopp({"encode", csv, TempPath(name + "_prefix_out.csv"), key,
+                     "--seed", "9"})
+                .code,
+            0);
+  return key;
+}
+
 TEST_F(CliTest, StreamReleaseRejectErrorIsActionable) {
-  // A prefix fit on the first 100 rows leaves the tail's unseen values
+  // A key fitted on the first 100 rows leaves the tail's unseen values
   // out-of-domain; the default reject policy must name the attribute, the
   // offending value, the fitted domain, and the active policy.
   const CliResult r =
       RunPopp({"stream-release", csv_path_, TempPath("rej.csv"),
-               TempPath("rej.key"), "--seed", "9", "--chunk-rows", "50",
-               "--fit-rows", "100"});
+               TempPath("rej.key"), "--chunk-rows", "50", "--key-in",
+               FitPrefixKey(data_, 100, "rej")});
   ASSERT_EQ(r.code, 1) << r.out;
   EXPECT_NE(r.err.find("out-of-domain value"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("attribute '"), std::string::npos) << r.err;
@@ -283,10 +299,26 @@ TEST_F(CliTest, StreamReleaseRejectErrorIsActionable) {
 TEST_F(CliTest, StreamReleaseClampToleratesUnseenTail) {
   const CliResult r =
       RunPopp({"stream-release", csv_path_, TempPath("clamp.csv"),
-               TempPath("clamp.key"), "--seed", "9", "--chunk-rows", "50",
-               "--fit-rows", "100", "--ood-policy", "clamp"});
+               TempPath("clamp.key"), "--chunk-rows", "50", "--key-in",
+               FitPrefixKey(data_, 100, "clamp"), "--ood-policy", "clamp"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("out-of-domain values:"), std::string::npos);
+}
+
+TEST(CliBasicsTest, StreamReleaseRemovedFitModesAreUsageErrors) {
+  // Prefix fitting and the refit policy are gone, and --ood-policy only
+  // means something next to --key-in.
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{
+           {"--fit-rows", "100"},
+           {"--ood-policy", "refit"},
+           {"--ood-policy", "clamp"}}) {
+    std::vector<std::string> args = {"stream-release", "in.csv", "out.csv",
+                                     "key.out"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 2) << flags[0] << " " << flags[1] << ": " << r.err;
+  }
 }
 
 TEST(CliBasicsTest, StreamReleaseBadOodPolicyReported) {

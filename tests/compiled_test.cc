@@ -227,10 +227,10 @@ TEST(CompiledTransformTest, OodEncodersMatchStreamHelpers) {
   }
 }
 
-/// Per-policy regression: every cell of a streamed release through the
-/// compiled kernels is bit-identical to the interpreted reference built
-/// from the plan in force — PiecewiseTransform::Apply inside the fitted
-/// hull, the reference OOD encoders outside it.
+/// Per-policy regression: every cell of a release through the compiled
+/// kernels under a prefix-fitted key is bit-identical to the interpreted
+/// reference — PiecewiseTransform::Apply inside the fitted hull, the
+/// reference OOD encoders outside it.
 TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
   constexpr size_t kPrefixRows = 60;
   Dataset d({"x", "y"}, {"a", "b"});
@@ -244,33 +244,25 @@ TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
   d.AddRow({120, 7}, 0);   // beyond the prefix hull
   d.AddRow({-40, 8}, 1);
   d.AddRow({121, 9}, 0);
-  // The prefix fit, which encodes every chunk before kRefit's first refit.
   Rng prefix_rng(5);
   const TransformPlan prefix_plan =
       TransformPlan::Create(prefix, PiecewiseOptions{}, prefix_rng);
 
   stream::StreamOptions options;
   options.chunk_rows = 10;
-  options.fit_rows = kPrefixRows;
-  options.seed = 5;
   for (const stream::OodPolicy policy :
-       {stream::OodPolicy::kClamp, stream::OodPolicy::kExtendPiece,
-        stream::OodPolicy::kRefit}) {
+       {stream::OodPolicy::kClamp, stream::OodPolicy::kExtendPiece}) {
     options.ood_policy = policy;
     stream::DatasetChunkReader reader(&d);
     stream::DatasetChunkWriter writer;
-    auto plan = stream::StreamingCustodian::Release(reader, writer, options);
+    auto plan = stream::StreamingCustodian::ReleaseWithPlan(
+        reader, writer, prefix_plan, options);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const Dataset& out = writer.collected();
     ASSERT_EQ(out.NumRows(), d.NumRows());
     for (size_t a = 0; a < d.NumAttributes(); ++a) {
+      const PiecewiseTransform& t = prefix_plan.transform(a);
       for (size_t r = 0; r < d.NumRows(); ++r) {
-        // kRefit refits on the outlier chunk, so only that chunk uses the
-        // returned plan; the other policies keep the prefix fit throughout.
-        const bool refitted =
-            policy == stream::OodPolicy::kRefit && r >= kPrefixRows;
-        const PiecewiseTransform& t =
-            (refitted ? plan.value() : prefix_plan).transform(a);
         const AttrValue x = d.Value(r, a);
         AttrValue want = t.Apply(x);
         if (!DomainBounds::Of(t).Contains(x)) {
@@ -287,7 +279,8 @@ TEST(CompiledStreamTest, StreamedReleaseMatchesInterpretedPerPolicy) {
   options.ood_policy = stream::OodPolicy::kReject;
   stream::DatasetChunkReader reader(&d);
   stream::DatasetChunkWriter writer;
-  auto rejected = stream::StreamingCustodian::Release(reader, writer, options);
+  auto rejected = stream::StreamingCustodian::ReleaseWithPlan(
+      reader, writer, prefix_plan, options);
   ASSERT_FALSE(rejected.ok());
   const std::string message = rejected.status().ToString();
   EXPECT_NE(message.find("stream row 61: attribute 'x' = 120"),

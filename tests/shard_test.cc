@@ -730,7 +730,7 @@ TEST(ShardResumeTest, StaleJournalFromOtherLayoutIsNotResumed) {
 
 TEST(MetaManifestTest, SerializeParseRoundTrips) {
   MetaManifest m;
-  m.fingerprint = "chunk_rows=64 ood=reject fit_rows=0 seed=9 plan_crc=abc";
+  m.fingerprint = "chunk_rows=64 ood=reject seed=9 plan_crc=abc";
   m.plan_crc = 0x0123456789abcdefull;
   m.shards.push_back(ShardEntry{0, 100, 2048, 0xdeadbeefull, "r.shard0"});
   m.shards.push_back(ShardEntry{1, 0, 0, 0, "r.shard1"});

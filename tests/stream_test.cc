@@ -213,7 +213,6 @@ TEST(StreamReleaseTest, BitIdenticalAcrossChunkSizesAndThreads) {
       EXPECT_EQ(stats.rows, data.NumRows());
       EXPECT_LE(stats.peak_resident_rows, chunk_rows);
       EXPECT_EQ(stats.ood_total, 0u);
-      EXPECT_EQ(stats.refits, 0u);
     }
   }
 }
@@ -267,13 +266,16 @@ TEST(StreamReleaseTest, MinedTreesIdenticalForGiniAndEntropy) {
 
 // -------------------------------------------------------- ood policies --
 
-/// A stream whose tail exceeds the prefix hull on attribute 0.
+constexpr size_t kPrefixRows = 60;
+
+/// A stream whose tail exceeds the hull of its first kPrefixRows rows on
+/// attribute 0.
 Dataset PrefixPlusOutliers() {
   Dataset d({"x", "y"}, {"a", "b"});
-  for (int i = 0; i < 60; ++i) {
+  for (size_t i = 0; i < kPrefixRows; ++i) {
     d.AddRow({static_cast<AttrValue>(10 + i % 20),
               static_cast<AttrValue>(5 + (i * 7) % 11)},
-             i % 2);
+             static_cast<ClassId>(i % 2));
   }
   // Tail rows outside [10, 29] on x (both sides).
   d.AddRow({120, 7}, 0);
@@ -282,21 +284,31 @@ Dataset PrefixPlusOutliers() {
   return d;
 }
 
-StreamOptions PrefixFitOptions(OodPolicy policy) {
+/// The key a custodian fitted on the stream's first kPrefixRows rows.
+TransformPlan PrefixPlan(const Dataset& data) {
+  std::vector<size_t> rows(kPrefixRows);
+  for (size_t r = 0; r < kPrefixRows; ++r) rows[r] = r;
+  Rng rng(5);
+  return TransformPlan::Create(data.Select(rows), PiecewiseOptions{}, rng);
+}
+
+/// Encodes all of `data` under PrefixPlan(data) with `policy`.
+Result<TransformPlan> ReleaseUnderPrefixPlan(const Dataset& data,
+                                             OodPolicy policy,
+                                             DatasetChunkWriter& writer,
+                                             StreamStats* stats = nullptr) {
   StreamOptions options;
   options.chunk_rows = 10;
-  options.fit_rows = 60;
   options.ood_policy = policy;
-  options.seed = 5;
-  return options;
+  DatasetChunkReader reader(&data);
+  return StreamingCustodian::ReleaseWithPlan(reader, writer, PrefixPlan(data),
+                                             options, stats);
 }
 
 TEST(OodPolicyTest, RejectFailsWithActionableError) {
   const Dataset data = PrefixPlusOutliers();
-  DatasetChunkReader reader(&data);
   DatasetChunkWriter writer;
-  auto plan = StreamingCustodian::Release(
-      reader, writer, PrefixFitOptions(OodPolicy::kReject));
+  auto plan = ReleaseUnderPrefixPlan(data, OodPolicy::kReject, writer);
   ASSERT_FALSE(plan.ok());
   const std::string message = plan.status().ToString();
   // Actionable: names the attribute, the offending value, the hull, and
@@ -310,15 +322,12 @@ TEST(OodPolicyTest, RejectFailsWithActionableError) {
 
 TEST(OodPolicyTest, ClampEncodesOutliersToHullImages) {
   const Dataset data = PrefixPlusOutliers();
-  DatasetChunkReader reader(&data);
   DatasetChunkWriter writer;
   StreamStats stats;
-  auto plan = StreamingCustodian::Release(
-      reader, writer, PrefixFitOptions(OodPolicy::kClamp), &stats);
+  auto plan = ReleaseUnderPrefixPlan(data, OodPolicy::kClamp, writer, &stats);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(stats.ood_total, 3u);
   EXPECT_EQ(stats.ood_by_attribute[0], 3u);
-  EXPECT_EQ(stats.refits, 0u);
   const Dataset& out = writer.collected();
   ASSERT_EQ(out.NumRows(), data.NumRows());
   const PiecewiseTransform& t = plan.value().transform(0);
@@ -331,11 +340,10 @@ TEST(OodPolicyTest, ClampEncodesOutliersToHullImages) {
 
 TEST(OodPolicyTest, ExtendPiecePreservesOrderBeyondHull) {
   const Dataset data = PrefixPlusOutliers();
-  DatasetChunkReader reader(&data);
   DatasetChunkWriter writer;
   StreamStats stats;
-  auto plan = StreamingCustodian::Release(
-      reader, writer, PrefixFitOptions(OodPolicy::kExtendPiece), &stats);
+  auto plan =
+      ReleaseUnderPrefixPlan(data, OodPolicy::kExtendPiece, writer, &stats);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(stats.ood_total, 3u);
   const Dataset& out = writer.collected();
@@ -349,39 +357,15 @@ TEST(OodPolicyTest, ExtendPiecePreservesOrderBeyondHull) {
   EXPECT_GT(out.Column(0)[62], out.Column(0)[60]);
 }
 
-TEST(OodPolicyTest, RefitAbsorbsOutliersDeterministically) {
-  const Dataset data = PrefixPlusOutliers();
-  DatasetChunkReader reader(&data);
-  DatasetChunkWriter writer;
-  StreamStats stats;
-  auto plan = StreamingCustodian::Release(
-      reader, writer, PrefixFitOptions(OodPolicy::kRefit), &stats);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GE(stats.refits, 1u);
-  EXPECT_EQ(stats.ood_total, 3u);
-  // The final plan's hull covers the whole stream.
-  const auto hull = DomainBounds::Of(plan.value().transform(0));
-  EXPECT_EQ(hull.lo, -40);
-  EXPECT_EQ(hull.hi, 121);
-  // Determinism: the same stream yields byte-identical output and plan.
-  DatasetChunkReader reader2(&data);
-  DatasetChunkWriter writer2;
-  auto plan2 = StreamingCustodian::Release(
-      reader2, writer2, PrefixFitOptions(OodPolicy::kRefit));
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_EQ(SerializePlan(plan.value()), SerializePlan(plan2.value()));
-  EXPECT_EQ(ToCsvString(writer.collected()), ToCsvString(writer2.collected()));
-}
-
 TEST(OodPolicyTest, ParseAndToStringRoundTrip) {
   for (const OodPolicy policy :
-       {OodPolicy::kReject, OodPolicy::kClamp, OodPolicy::kExtendPiece,
-        OodPolicy::kRefit}) {
+       {OodPolicy::kReject, OodPolicy::kClamp, OodPolicy::kExtendPiece}) {
     auto parsed = stream::ParseOodPolicy(stream::ToString(policy));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), policy);
   }
   EXPECT_FALSE(stream::ParseOodPolicy("ignore").ok());
+  EXPECT_FALSE(stream::ParseOodPolicy("refit").ok());
 }
 
 // ------------------------------------------------------ loaded-plan mode --
