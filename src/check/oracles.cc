@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -223,6 +224,15 @@ OracleResult CheckCompiledVsInterpreted(const Dataset& original,
               << FormatCsvCell(y) << ") differs from the interpreted inverse";
           return OracleResult::Fail(oss.str());
         }
+      }
+    }
+    // The LUT's coverage bits must agree with the piece routing.
+    for (AttrValue x : probes) {
+      if (with_lut.Covers(x) != no_lut.Covers(x)) {
+        std::ostringstream oss;
+        oss << "attr " << a << ": Covers(" << FormatCsvCell(x)
+            << ") differs between the LUT and the search path";
+        return OracleResult::Fail(oss.str());
       }
     }
   }
@@ -588,6 +598,101 @@ OracleResult CheckStreamVsBatch(const Dataset& original,
         << " out-of-domain values; it must see every value during the fit"
         << where.str();
     return OracleResult::Fail(oss.str());
+  }
+  return OracleResult::Ok();
+}
+
+namespace {
+
+/// The first attribute on which `released` is not an injective function of
+/// `original` (row by row), described; empty if there is none.
+std::string InjectivityViolation(const Dataset& original,
+                                 const Dataset& released) {
+  if (released.NumRows() != original.NumRows() ||
+      released.NumAttributes() != original.NumAttributes()) {
+    return "the release has a different shape than the original";
+  }
+  for (size_t a = 0; a < original.NumAttributes(); ++a) {
+    std::map<AttrValue, AttrValue> image_of, original_of;
+    for (size_t r = 0; r < original.NumRows(); ++r) {
+      const AttrValue x = original.Value(r, a);
+      const AttrValue y = released.Value(r, a);
+      const auto [image, fresh_x] = image_of.emplace(x, y);
+      const auto [preimage, fresh_y] = original_of.emplace(y, x);
+      std::ostringstream oss;
+      oss << "attr " << a << " row " << r + 1 << ": ";
+      if (!fresh_x && image->second != y) {
+        oss << "original " << FormatCsvCell(x) << " is released as both "
+            << FormatCsvCell(image->second) << " and " << FormatCsvCell(y);
+        return oss.str();
+      }
+      if (!fresh_y && preimage->second != x) {
+        oss << "originals " << FormatCsvCell(preimage->second) << " and "
+            << FormatCsvCell(x) << " are both released as "
+            << FormatCsvCell(y);
+        return oss.str();
+      }
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+OracleResult CheckReleaseInjective(const Dataset& original,
+                                   const TransformPlan& plan,
+                                   uint64_t plan_seed,
+                                   const PiecewiseOptions& transform_options,
+                                   size_t chunk_rows, size_t prefix_rows) {
+  const Dataset batch = CompiledPlan::Compile(plan).EncodeDataset(original);
+  std::string violation = InjectivityViolation(original, batch);
+  if (!violation.empty()) {
+    return OracleResult::Fail("batch release: " + violation);
+  }
+
+  stream::StreamOptions options;
+  options.chunk_rows = chunk_rows;
+  options.transform = transform_options;
+  options.seed = plan_seed;
+  {
+    stream::DatasetChunkReader reader(&original);
+    stream::DatasetChunkWriter writer;
+    auto streamed = stream::StreamingCustodian::Release(reader, writer, options);
+    if (!streamed.ok()) {
+      return OracleResult::Fail("streamed release failed: " +
+                                streamed.status().ToString());
+    }
+    violation = InjectivityViolation(original, writer.collected());
+    if (!violation.empty()) {
+      return OracleResult::Fail("streamed release: " + violation);
+    }
+  }
+
+  // A key fitted on a prefix meets the rest of the case unseen: each
+  // policy that claims injectivity must keep it or refuse the release.
+  std::vector<size_t> prefix(std::min(prefix_rows, original.NumRows()));
+  for (size_t r = 0; r < prefix.size(); ++r) prefix[r] = r;
+  Rng rng(plan_seed);
+  const TransformPlan prefix_plan =
+      TransformPlan::Create(original.Select(prefix), transform_options, rng);
+  for (const stream::OodPolicy policy :
+       {stream::OodPolicy::kReject, stream::OodPolicy::kExtendPiece}) {
+    options.ood_policy = policy;
+    stream::DatasetChunkReader reader(&original);
+    stream::DatasetChunkWriter writer;
+    auto keyed = stream::StreamingCustodian::ReleaseWithPlan(
+        reader, writer, prefix_plan, options);
+    std::ostringstream where;
+    where << "--key-in release (" << stream::ToString(policy)
+          << ", key fitted on " << prefix.size() << " rows): ";
+    if (!keyed.ok()) {
+      if (keyed.status().code() == StatusCode::kOutOfRange) continue;
+      return OracleResult::Fail(where.str() + keyed.status().ToString());
+    }
+    violation = InjectivityViolation(original, writer.collected());
+    if (!violation.empty()) {
+      return OracleResult::Fail(where.str() + violation);
+    }
   }
   return OracleResult::Ok();
 }
@@ -1949,6 +2054,18 @@ const std::vector<Oracle>& AllOracles() {
                                      ctx.c.plan_seed,
                                      ctx.c.transform_options, chunk,
                                      threads);
+         }},
+        {"release_injective",
+         [](const TrialContext& ctx) {
+           // Case-derived chunk size and key prefix length, stepped unlike
+           // the other oracles; a short prefix leaves most of the case
+           // unseen by the key-in plan.
+           const size_t rows = std::max<size_t>(ctx.c.data.NumRows(), 1);
+           const size_t chunk = 1 + (ctx.c.plan_seed / 19) % rows;
+           const size_t prefix = 1 + (ctx.c.plan_seed / 29) % rows;
+           return CheckReleaseInjective(ctx.c.data, ctx.plan, ctx.c.plan_seed,
+                                        ctx.c.transform_options, chunk,
+                                        prefix);
          }},
         {"cols_vs_csv",
          [](const TrialContext& ctx) {

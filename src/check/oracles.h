@@ -112,6 +112,21 @@ OracleResult CheckStreamVsBatch(const Dataset& original,
                                 const PiecewiseOptions& transform_options,
                                 size_t chunk_rows, size_t num_threads);
 
+/// The paper's no-outcome-change precondition on every release path: per
+/// attribute, each original value is released as exactly one value and no
+/// two distinct originals share one. Checked on the batch release of
+/// `plan`, on a two-pass streamed release at `chunk_rows`, and on
+/// `ReleaseWithPlan` under a plan fitted on the first `prefix_rows` rows,
+/// once with the reject and once with the extend-piece OOD policy; those
+/// two key-in releases may instead fail with kOutOfRange. Shard and
+/// popp-cols releases are held to the stream bytes by shard_vs_stream and
+/// cols_vs_csv.
+OracleResult CheckReleaseInjective(const Dataset& original,
+                                   const TransformPlan& plan,
+                                   uint64_t plan_seed,
+                                   const PiecewiseOptions& transform_options,
+                                   size_t chunk_rows, size_t prefix_rows);
+
 /// The interchange-format contract (data/cols.h, stream/cols_io.h): the
 /// fuzz case round-tripped CSV -> popp-cols -> CSV must reproduce the
 /// canonical CSV bytes exactly (values travel as bit patterns, including
@@ -244,9 +259,10 @@ struct Oracle {
 
 /// The registry the fuzz driver iterates: encode_bijective,
 /// global_invariant, label_runs, tree_equivalence, tree_equivalence_pruned,
-/// frontier_vs_resort, serialize_roundtrip, stream_vs_batch, cols_vs_csv,
-/// compiled_vs_interpreted, parallel_determinism, fault_crash_safety,
-/// shard_vs_stream, serve_vs_cli, supervised_convergence.
+/// frontier_vs_resort, serialize_roundtrip, stream_vs_batch,
+/// release_injective, cols_vs_csv, compiled_vs_interpreted,
+/// parallel_determinism, fault_crash_safety, shard_vs_stream, serve_vs_cli,
+/// supervised_convergence.
 const std::vector<Oracle>& AllOracles();
 
 /// Evaluates the named oracle on a bare case (re-deriving plan and release).

@@ -96,11 +96,18 @@ constexpr char kUsage[] =
     "whichever format the input arrives in.\n"
     "Flags are checked strictly: a flag the command does not take, or a\n"
     "numeric value that is not a whole unsigned decimal (--seed 3x,\n"
-    "--seed -1), is a usage error.\n"
+    "--seed -1), is a usage error. Attribute values must be finite: an\n"
+    "inf or nan cell fails the command, naming its row and attribute.\n"
     "\n"
-    "stream-release journals progress in <out.csv>.manifest and stages\n"
-    "bytes in <out.csv>.partial; --resume continues an interrupted run\n"
-    "(byte-identical to an uninterrupted one) instead of starting over.\n"
+    "stream-release fits on every row (two passes), or with --key-in\n"
+    "encodes under a saved key in one pass. --ood-policy, which needs\n"
+    "--key-in, decides values the key was not fitted on: outside its\n"
+    "domain, or inside a bijective piece that never saw them. reject\n"
+    "(default) and extend-piece refuse the latter; clamp snaps it onto a\n"
+    "fitted value's image. It journals progress in <out.csv>.manifest and\n"
+    "stages bytes in <out.csv>.partial; --resume continues an interrupted\n"
+    "run (byte-identical to an uninterrupted one) instead of starting\n"
+    "over.\n"
     "\n"
     "shard-release splits the input into --shards disjoint row ranges,\n"
     "summarizes them in parallel (thread workers, or forked processes\n"
@@ -254,14 +261,18 @@ Result<stream::DatasetFormat> FormatFlag(const ParsedArgs& args,
 }
 
 /// Loads a whole dataset honoring the command's --format flag (auto-sniffs
-/// by default, so existing CSV invocations keep working unchanged).
+/// by default, so existing CSV invocations keep working unchanged), and
+/// refuses non-finite values.
 Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
   auto requested = FormatFlag(args, "format");
   if (!requested.ok()) return requested.status();
   auto format = stream::SniffDatasetFormat(path, requested.value());
   if (!format.ok()) return format.status();
-  if (format.value() == stream::DatasetFormat::kCols) return ReadCols(path);
-  return ReadCsv(path);
+  Result<Dataset> data = format.value() == stream::DatasetFormat::kCols
+                             ? ReadCols(path)
+                             : ReadCsv(path);
+  if (data.ok()) POPP_RETURN_IF_ERROR(CheckFiniteValues(data.value()));
+  return data;
 }
 
 std::optional<BuildOptions> TreeFlags(const ParsedArgs& args,

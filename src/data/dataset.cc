@@ -1,6 +1,9 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "data/csv.h"
 
 namespace popp {
 
@@ -104,6 +107,32 @@ Dataset Dataset::Select(const std::vector<size_t>& row_indices) const {
     out.AddRow(tmp, labels_[r]);
   }
   return out;
+}
+
+Status CheckFiniteValues(const Dataset& data, size_t rows_before) {
+  // The all-finite scan is branch-free so it vectorizes; only a column that
+  // fails it is searched for its first offending row.
+  size_t first_row = data.NumRows();
+  size_t first_attr = 0;
+  for (size_t a = 0; a < data.NumAttributes(); ++a) {
+    const std::vector<AttrValue>& col = data.Column(a);
+    bool finite = true;
+    for (const AttrValue x : col) finite &= std::isfinite(x);
+    if (finite) continue;
+    for (size_t r = 0; r < first_row; ++r) {
+      if (!std::isfinite(col[r])) {
+        first_row = r;
+        first_attr = a;
+        break;
+      }
+    }
+  }
+  if (first_row == data.NumRows()) return Status::Ok();
+  return Status::InvalidArgument(
+      "non-finite value at row " + std::to_string(rows_before + first_row + 1) +
+      ": attribute '" + data.schema().AttributeName(first_attr) + "' = " +
+      FormatCsvCell(data.Value(first_row, first_attr)) +
+      " (only finite numbers can be encoded)");
 }
 
 }  // namespace popp

@@ -99,6 +99,13 @@ class Dataset {
   std::vector<ClassId> labels_;                  // labels_[row]
 };
 
+/// Refuses non-finite attribute values (inf, -inf, nan), which no plan fit
+/// or encode can place. Returns kInvalidArgument naming the first offending
+/// row (1-based, numbered from `rows_before` + 1) and its attribute; Ok if
+/// every value is finite. Every path that feeds a dataset into a fit or an
+/// encode calls it; the readers themselves stay format-faithful.
+Status CheckFiniteValues(const Dataset& data, size_t rows_before = 0);
+
 }  // namespace popp
 
 #endif  // POPP_DATA_DATASET_H_

@@ -41,6 +41,10 @@ AttributeSummary AttributeSummary::FromSortedTuples(
     uint32_t* counts =
         &s.class_counts_[(s.values_.size() - 1) * num_classes];
     while (i < tuples.size() && tuples[i].value == v) {
+      // A run of zeros is represented by -0.0 if it holds one, whichever
+      // zero the sort put first — the choice IncrementalSummary and the
+      // frontier engine's bins make too, so every path writes one key.
+      if (v == 0 && std::signbit(tuples[i].value)) s.values_.back() = -0.0;
       const ClassId c = tuples[i].label;
       POPP_CHECK_MSG(c >= 0 && static_cast<size_t>(c) < num_classes,
                      "bad class id " << c);

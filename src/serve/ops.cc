@@ -159,14 +159,17 @@ std::optional<ReplyBody> DeadlineReply(const RequestContext& context,
 }
 
 /// Parses the request's dataset bytes, sniffing the popp-cols magic so the
-/// binary container takes the PR 7 zero-copy validation path and anything
-/// else goes through the incremental CSV tokenizer.
+/// binary container takes the zero-copy validation path and anything else
+/// goes through the incremental CSV tokenizer, and refuses non-finite
+/// values.
 Result<Dataset> ParseRequestDataset(const std::string& bytes) {
   if (bytes.empty()) {
     return Status::InvalidArgument("request carries no dataset bytes");
   }
-  if (LooksLikeCols(bytes)) return ParseCols(bytes);
-  return ParseCsv(bytes);
+  Result<Dataset> data = LooksLikeCols(bytes) ? ParseCols(bytes)
+                                              : ParseCsv(bytes);
+  if (data.ok()) POPP_RETURN_IF_ERROR(CheckFiniteValues(data.value()));
+  return data;
 }
 
 /// Fetches the tenant's plan for (data's schema, seed, policy), fitting

@@ -107,6 +107,9 @@ Status SummarizeShard(const std::string& input_path,
     if (!next.ok()) return next.status();
     const Dataset& chunk = next.value();
     if (chunk.NumRows() == 0) break;
+    const size_t rows_before =
+        out->range.begin + (summary.has_value() ? summary->NumRows() : 0);
+    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, rows_before));
     if (!summary.has_value()) {
       summary.emplace(chunk.NumAttributes());
     }

@@ -1,10 +1,29 @@
 #include "stream/incremental_summary.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "util/status.h"
 
 namespace popp::stream {
+namespace {
+
+/// The counts slot of `x`. Zero's key becomes -0.0 once any -0.0 arrives,
+/// so the summary does not depend on which zero came first (the batch
+/// AttributeSummary::FromSortedTuples makes the same choice).
+template <typename ValueCounts>
+std::vector<uint32_t>& SlotOf(ValueCounts& counts, AttrValue x) {
+  auto it = counts.try_emplace(x).first;
+  if (x == 0 && std::signbit(x) && !std::signbit(it->first)) {
+    auto node = counts.extract(it);
+    node.key() = x;
+    it = counts.insert(std::move(node)).position;
+  }
+  return it->second;
+}
+
+}  // namespace
 
 IncrementalSummary::IncrementalSummary(size_t num_attributes)
     : attrs_(num_attributes) {
@@ -23,7 +42,7 @@ void IncrementalSummary::Absorb(const Dataset& chunk) {
       POPP_CHECK_MSG(label >= 0 &&
                          static_cast<size_t>(label) < num_classes_,
                      "Absorb: bad class id " << label);
-      std::vector<uint32_t>& slot = counts[col[r]];
+      std::vector<uint32_t>& slot = SlotOf(counts, col[r]);
       if (slot.size() <= static_cast<size_t>(label)) {
         slot.resize(num_classes_, 0);
       }
@@ -39,7 +58,7 @@ void IncrementalSummary::Merge(const IncrementalSummary& other) {
   num_classes_ = std::max(num_classes_, other.num_classes_);
   for (size_t a = 0; a < attrs_.size(); ++a) {
     for (const auto& [value, other_counts] : other.attrs_[a]) {
-      std::vector<uint32_t>& slot = attrs_[a][value];
+      std::vector<uint32_t>& slot = SlotOf(attrs_[a], value);
       if (slot.size() < other_counts.size()) {
         slot.resize(other_counts.size(), 0);
       }

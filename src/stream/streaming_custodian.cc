@@ -33,21 +33,40 @@ struct AttrScan {
   size_t ood = 0;
 };
 
+/// Why the encode refuses `x`: it lies outside the fitted hull, or it lies
+/// inside a permutation piece that was not fitted on it (Apply would snap
+/// it onto another value's image).
 std::string RejectMessage(const Schema& schema, size_t attr, AttrValue x,
-                          const DomainBounds& hull, size_t stream_row) {
+                          const CompiledTransform& ct, OodPolicy policy,
+                          size_t stream_row) {
+  const DomainBounds& hull = ct.bounds();
   std::ostringstream oss;
   oss << "out-of-domain value at stream row " << stream_row << ": attribute '"
-      << schema.AttributeName(attr) << "' = " << FormatCsvCell(x)
-      << " is outside the fitted domain [" << FormatCsvCell(hull.lo) << ", "
-      << FormatCsvCell(hull.hi)
-      << "] (active ood-policy: reject; rerun with --ood-policy clamp or "
-         "extend-piece, or refit the plan on newer data)";
+      << schema.AttributeName(attr) << "' = " << FormatCsvCell(x);
+  if (!hull.Contains(x)) {
+    oss << " is outside the fitted domain [" << FormatCsvCell(hull.lo) << ", "
+        << FormatCsvCell(hull.hi)
+        << "] (active ood-policy: reject; rerun with --ood-policy clamp or "
+           "extend-piece, or refit the plan on newer data)";
+    return oss.str();
+  }
+  const auto [lo, hi] = ct.PieceDomain(x);
+  oss << " is inside the fitted domain [" << FormatCsvCell(hull.lo) << ", "
+      << FormatCsvCell(hull.hi) << "] but not among the values its "
+      << "permutation piece [" << FormatCsvCell(lo) << ", " << FormatCsvCell(hi)
+      << "] was fitted on, so its image would collide with another value's "
+         "(active ood-policy: "
+      << ToString(policy)
+      << "; rerun with --ood-policy clamp to accept the collision, or refit "
+         "the plan on newer data)";
   return oss.str();
 }
 
-/// Encodes one chunk in place through the compiled kernels. Returns the
-/// lexicographically first (row, attribute) rejection if the policy is
-/// kReject and the chunk holds out-of-domain values.
+/// Encodes one chunk in place through the compiled kernels. Values the plan
+/// does not cover (CompiledTransform::Covers) are out of domain: kClamp
+/// encodes them lossily, kExtendPiece extrapolates those beyond the hull,
+/// and every other one is refused. Returns the lexicographically first
+/// (row, attribute) refusal.
 Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
                    OodPolicy policy, const ExecPolicy& exec,
                    size_t rows_before, StreamStats* stats) {
@@ -56,34 +75,32 @@ Status EncodeChunk(Dataset* chunk, const CompiledPlan& compiled,
   ParallelFor(exec, num_attrs, [&](size_t attr) {
     AttrScan& scan = scans[attr];
     const CompiledTransform& ct = compiled.transform(attr);
-    // A copy, so the stores to col[r] below cannot alias the bounds.
-    const DomainBounds hull = ct.bounds();
     auto& col = chunk->MutableColumn(attr);
     for (size_t r = 0; r < col.size(); ++r) {
       const AttrValue x = col[r];
-      if (!hull.Contains(x)) {
-        scan.ood++;
-        switch (policy) {
-          case OodPolicy::kReject:
-            if (scan.status.ok()) {
-              scan.first_ood_row = rows_before + r + 1;
-              scan.status = Status::OutOfRange(RejectMessage(
-                  chunk->schema(), attr, x, hull, scan.first_ood_row));
-            }
-            continue;
-          case OodPolicy::kClamp:
-            col[r] = ct.EncodeClamped(x);
-            continue;
-          case OodPolicy::kExtendPiece:
-            col[r] = ct.EncodeExtended(x);
-            continue;
-        }
+      if (ct.Covers(x)) {
+        col[r] = ct.Apply(x);
+        continue;
       }
-      col[r] = ct.Apply(x);
+      scan.ood++;
+      if (policy == OodPolicy::kClamp) {
+        // Inside the hull this is Apply's nearest-fitted-value snap.
+        col[r] = ct.EncodeClamped(x);
+        continue;
+      }
+      if (policy == OodPolicy::kExtendPiece && !ct.bounds().Contains(x)) {
+        col[r] = ct.EncodeExtended(x);
+        continue;
+      }
+      if (scan.status.ok()) {
+        scan.first_ood_row = rows_before + r + 1;
+        scan.status = Status::OutOfRange(RejectMessage(
+            chunk->schema(), attr, x, ct, policy, scan.first_ood_row));
+      }
     }
   });
-  // Serial merge in fixed order; under kReject report the first offending
-  // (row, attribute) in stream order.
+  // Serial merge in fixed order; report the first refused (row, attribute)
+  // in stream order.
   const AttrScan* reject = nullptr;
   for (size_t attr = 0; attr < num_attrs; ++attr) {
     const AttrScan& scan = scans[attr];
@@ -118,6 +135,7 @@ Status EncodeStream(ChunkReader& reader, ChunkWriter& writer,
     if (!next.ok()) return next.status();
     Dataset chunk = std::move(next).value();
     if (chunk.NumRows() == 0) break;
+    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, rows_before));
     if (chunk.NumAttributes() != plan.NumAttributes()) {
       return Status::InvalidArgument(
           "stream-release: chunk has " + std::to_string(chunk.NumAttributes()) +
@@ -215,6 +233,8 @@ Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
     if (!next.ok()) return next.status();
     const Dataset& chunk = next.value();
     if (chunk.NumRows() == 0) break;
+    const size_t rows_before = summary == nullptr ? 0 : summary->NumRows();
+    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, rows_before));
     if (summary == nullptr) {
       summary = std::make_unique<IncrementalSummary>(chunk.NumAttributes());
     }

@@ -152,7 +152,10 @@ CompiledTransform CompiledTransform::Compile(const PiecewiseTransform& t,
       c.lut_base_ = base;
       c.lut_last_ = last;
       c.lut_.reserve(static_cast<size_t>(span) + 1);
+      c.lut_covered_.assign(static_cast<size_t>(span) / 64 + 1, 0);
       for (double v = base; v <= last; v += 1.0) {
+        const size_t i = c.lut_.size();
+        c.lut_covered_[i / 64] |= uint64_t{c.CoversSearch(v)} << (i % 64);
         c.lut_.push_back(t.Apply(v));
       }
       c.has_lut_ = true;
@@ -161,12 +164,11 @@ CompiledTransform CompiledTransform::Compile(const PiecewiseTransform& t,
   return c;
 }
 
-AttrValue CompiledTransform::ApplySearch(AttrValue x) const {
+size_t CompiledTransform::DomainPiece(AttrValue x) const {
   POPP_DCHECK(!tag_.empty());
-  // Largest d with domain_lo_[d] <= x (clamped to 0) — the same binary
-  // search as PiecewiseTransform::DomainPieceIndex, over a flat array.
-  const size_t k = tag_.size();
-  size_t lo = 0, hi = k;
+  // The same binary search as PiecewiseTransform::DomainPieceIndex, over a
+  // flat array.
+  size_t lo = 0, hi = tag_.size();
   while (lo + 1 < hi) {
     const size_t mid = (lo + hi) / 2;
     if (domain_lo_[mid] <= x) {
@@ -175,6 +177,22 @@ AttrValue CompiledTransform::ApplySearch(AttrValue x) const {
       hi = mid;
     }
   }
+  return lo;
+}
+
+bool CompiledTransform::CoversSearch(AttrValue x) const {
+  const size_t d = DomainPiece(x);
+  if (x > domain_hi_[d] || static_cast<PieceTag>(tag_[d]) != PieceTag::kPerm) {
+    return true;  // an inter-piece gap or a monotone piece
+  }
+  const AttrValue* dom = perm_domain_.data() + perm_off_[d];
+  const AttrValue* end = perm_domain_.data() + perm_off_[d + 1];
+  return std::binary_search(dom, end, x);
+}
+
+AttrValue CompiledTransform::ApplySearch(AttrValue x) const {
+  const size_t k = tag_.size();
+  const size_t lo = DomainPiece(x);
   if (x <= domain_hi_[lo] || lo + 1 == k) {
     return EvalPiece(lo, x);
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -121,6 +122,26 @@ class CompiledTransform {
     return ApplySearch(x);
   }
 
+  /// True if Apply encodes `x` without colliding with another value's
+  /// image: `x` lies in the fitted hull and, inside a permutation (F_bi)
+  /// piece, is one of the values that piece was fitted on. Monotone pieces
+  /// and the gaps between pieces encode every in-hull value injectively,
+  /// but a permutation piece snaps an unseen value onto the image of its
+  /// nearest fitted value. One bit test on the LUT path.
+  bool Covers(AttrValue x) const {
+    if (has_lut_ && x >= lut_base_ && x <= lut_last_ && x == std::floor(x)) {
+      const size_t i = static_cast<size_t>(x - lut_base_);
+      return (lut_covered_[i / 64] >> (i % 64)) & 1;
+    }
+    return bounds_.Contains(x) && CoversSearch(x);
+  }
+
+  /// Domain interval [lo, hi] of the piece `x` routes to (for diagnostics).
+  std::pair<AttrValue, AttrValue> PieceDomain(AttrValue x) const {
+    const size_t d = DomainPiece(x);
+    return {domain_lo_[d], domain_hi_[d]};
+  }
+
   /// Decodes one value; bit-identical to PiecewiseTransform::Inverse.
   AttrValue Inverse(AttrValue y) const;
 
@@ -144,8 +165,12 @@ class CompiledTransform {
   size_t LutEntries() const { return lut_.size(); }
 
  private:
+  /// Largest d with domain_lo_[d] <= x (0 below the hull).
+  size_t DomainPiece(AttrValue x) const;
   /// Binary-search path (LUT miss): piece routing + tag dispatch.
   AttrValue ApplySearch(AttrValue x) const;
+  /// Covers for an in-hull `x`, by piece routing.
+  bool CoversSearch(AttrValue x) const;
   AttrValue EvalPiece(size_t d, AttrValue x) const;
   AttrValue InvertPiece(size_t d, AttrValue y) const;
   size_t OutToDomain(size_t p) const {
@@ -181,6 +206,8 @@ class CompiledTransform {
   bool has_lut_ = false;
   AttrValue lut_base_ = 0, lut_last_ = 0;
   std::vector<AttrValue> lut_;
+  // Covers() of each LUT entry, one bit per entry.
+  std::vector<uint64_t> lut_covered_;
 };
 
 /// A TransformPlan compiled attribute by attribute, with batched parallel

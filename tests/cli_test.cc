@@ -16,6 +16,7 @@
 #include "shard/meta_manifest.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
+#include "transform/serialize.h"
 #include "tree/compare.h"
 #include "tree/serialize.h"
 #include "util/integrity.h"
@@ -303,6 +304,94 @@ TEST_F(CliTest, StreamReleaseClampToleratesUnseenTail) {
                FitPrefixKey(data_, 100, "clamp"), "--ood-policy", "clamp"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("out-of-domain values:"), std::string::npos);
+}
+
+TEST(CliKeyInTest, UnseenValueInsideBijectivePieceIsOutOfDomain) {
+  // The key is fitted on 40 rows whose x values form two monochromatic
+  // runs, {0, 2, ..., 38} of class a and {100, ..., 138} of class b, so
+  // each run is one permutation piece. The release adds x = 17: inside
+  // the hull and inside the first piece, but not a value it was fitted
+  // on, so the piece would snap it onto the image of 16 or 18.
+  std::ostringstream prefix, full;
+  prefix << "x,class\n";
+  for (int i = 0; i < 20; ++i) prefix << 2 * i << ",a\n";
+  for (int i = 0; i < 20; ++i) prefix << 100 + 2 * i << ",b\n";
+  full << prefix.str() << "17,a\n";
+  const std::string prefix_csv = TempPath("bij_prefix.csv");
+  const std::string full_csv = TempPath("bij_full.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(prefix_csv, prefix.str()).ok());
+  ASSERT_TRUE(fault::WriteFileAtomic(full_csv, full.str()).ok());
+  const std::string key = TempPath("bij_prefix.key");
+  ASSERT_EQ(RunPopp({"encode", prefix_csv, TempPath("bij_prefix_out.csv"),
+                     key, "--seed", "9"})
+                .code,
+            0);
+  auto plan = LoadPlan(key);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const PiecewiseTransform& t = plan.value().transform(0);
+  ASSERT_EQ(t.NumPieces(), 2u);
+  ASSERT_TRUE(t.piece(0).bijective);
+
+  for (const std::string policy : {"reject", "extend-piece"}) {
+    const CliResult r =
+        RunPopp({"stream-release", full_csv, TempPath("bij.csv"),
+                 TempPath("bij.key"), "--key-in", key, "--ood-policy", policy});
+    EXPECT_EQ(r.code, 1) << policy << ": " << r.out;
+    EXPECT_NE(r.err.find("stream row 41: attribute 'x' = 17"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("permutation piece [0, 38]"), std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("ood-policy: " + policy), std::string::npos)
+        << r.err;
+  }
+  const CliResult r =
+      RunPopp({"stream-release", full_csv, TempPath("bij.csv"),
+               TempPath("bij.key"), "--key-in", key, "--ood-policy", "clamp"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("out-of-domain values: 1\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("ood[x]: 1"), std::string::npos) << r.out;
+}
+
+TEST(CliBasicsTest, NonFiniteCellsAreRefusedNamingRowAndAttribute) {
+  // The readers carry inf and nan faithfully, but no fit can place them:
+  // every release command must refuse them (exit 1) instead of aborting
+  // or exhausting memory in the fit.
+  const std::string inf_csv = TempPath("inf.csv");
+  const std::string nan_csv = TempPath("nan.csv");
+  const std::string nan_cols = TempPath("nan.cols");
+  ASSERT_TRUE(
+      fault::WriteFileAtomic(inf_csv, "x,y,class\n1,2,a\n-inf,3,b\n4,5,a\n")
+          .ok());
+  ASSERT_TRUE(
+      fault::WriteFileAtomic(nan_csv, "x,y,class\n1,2,a\n4,nan,b\n4,5,a\n")
+          .ok());
+  ASSERT_EQ(RunPopp({"convert", nan_csv, nan_cols}).code, 0);
+  const std::string inf_message = "row 2: attribute 'x' = -inf";
+  const std::string nan_message = "row 2: attribute 'y' = nan";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> runs = {
+      {{"encode", inf_csv, TempPath("nf.csv"), TempPath("nf.key")},
+       inf_message},
+      {{"encode", nan_csv, TempPath("nf.csv"), TempPath("nf.key")},
+       nan_message},
+      {{"encode", nan_cols, TempPath("nf.csv"), TempPath("nf.key")},
+       nan_message},
+      {{"stream-release", inf_csv, TempPath("nf.csv"), TempPath("nf.key"),
+        "--chunk-rows", "1"},
+       inf_message},
+      {{"stream-release", nan_cols, TempPath("nf.csv"), TempPath("nf.key")},
+       nan_message},
+      {{"shard-release", inf_csv, TempPath("nf.csv"), TempPath("nf.key"),
+        "--shards", "3", "--chunk-rows", "1"},
+       inf_message},
+  };
+  for (const auto& [args, message] : runs) {
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << args[1] << ": " << r.err;
+    EXPECT_NE(r.err.find("non-finite value at " + message), std::string::npos)
+        << args[0] << " " << args[1] << ": " << r.err;
+  }
 }
 
 TEST(CliBasicsTest, StreamReleaseRemovedFitModesAreUsageErrors) {

@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/cols.h"
@@ -732,6 +734,50 @@ TEST_F(ServeEndToEndTest, ProtocolShutdownDrainsAndRemovesSocket) {
   EXPECT_TRUE(reply.value().ok());
   EXPECT_EQ(daemon.Shutdown(), 0);
   EXPECT_FALSE(fault::FileExists(options.socket_path));
+}
+
+TEST_F(ServeEndToEndTest, NonFiniteCellsGetAnErrorReplyAndTheDaemonLivesOn) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("nonfinite");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+
+  // No fit can place an infinite or NaN value: the request must be refused
+  // in the reply instead of aborting (inf) or exhausting memory (nan) in
+  // the fit, in either framing and for every op that fits.
+  Dataset nan_data = data_;
+  nan_data.SetValue(4, 2, std::numeric_limits<double>::quiet_NaN());
+  const std::string inf_csv =
+      "a,b,class\n1,2,x\n3,inf,y\n5,6,x\n";
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+  const std::pair<Tag, std::string> requests[] = {
+      {Tag::kEncode, inf_csv},
+      {Tag::kFit, inf_csv},
+      {Tag::kEncode, SerializeCols(nan_data)}};
+  for (const auto& [tag, bytes] : requests) {
+    RequestBody request;
+    request.options = OptionsText(9, 1);
+    request.dataset = bytes;
+    auto reply = client.Call(tag, "t", request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply.value().ok());
+    const bool is_nan = bytes != inf_csv;
+    EXPECT_NE(reply.value().text.find(is_nan ? "row 5: attribute '" +
+                                                   data_.schema()
+                                                       .AttributeName(2) +
+                                                   "' = nan"
+                                             : "row 2: attribute 'b' = inf"),
+              std::string::npos)
+        << reply.value().text;
+  }
+  auto health = client.Call(Tag::kHealth, "t", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok()) << health.value().text;
+  auto down = client.Call(Tag::kShutdown, "", RequestBody{});
+  ASSERT_TRUE(down.ok());
+  EXPECT_TRUE(down.value().ok());
+  EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
 TEST(ServeLifecycleTest, RefusesSocketAnotherDaemonListensOn) {

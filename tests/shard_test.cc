@@ -544,6 +544,41 @@ TEST_F(ShardReleaseTest, ConcatenationMatchesStreamReleaseEverywhere) {
   }
 }
 
+TEST_F(ShardReleaseTest, SignedZerosGiveOneKeyOnEveryPath) {
+  // Columns that mix 0 and -0, one starting with each: the batch sort and
+  // the streamed and sharded summaries see the zeros in different orders,
+  // but all of them must represent the run by the same zero and write the
+  // same key bytes.
+  Rng rng(2);
+  Dataset data({"z", "w", "v"}, {"a", "b"});
+  data.AddRow({0.0, -0.0, 3}, 0);
+  for (int i = 1; i < 3000; ++i) {
+    data.AddRow({rng.Bernoulli(0.5) ? -0.0 : 0.0,
+                 rng.Bernoulli(0.5) ? -0.0 : 0.0,
+                 static_cast<AttrValue>(rng.UniformInt(-3, 3))},
+                static_cast<ClassId>(rng.UniformInt(0, 1)));
+  }
+  const std::string input = WriteInput(data, "zeros.csv", false);
+  auto parsed = ReadCsv(input);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Rng batch_rng(3);
+  const std::string batch_key = SerializePlan(
+      TransformPlan::Create(parsed.value(), PiecewiseOptions{}, batch_rng));
+  ASSERT_NE(batch_key.find("piece -0 -0"), std::string::npos) << batch_key;
+  for (const size_t chunk_rows : {1, 7, 4096}) {
+    std::string stream_key;
+    StreamReleaseBytes(input, chunk_rows, /*seed=*/3, &stream_key);
+    EXPECT_EQ(stream_key, batch_key) << "chunk_rows=" << chunk_rows;
+  }
+  for (const size_t shards : {1, 3}) {
+    auto plan = ShardedCustodian::Release(input, TempPath("zeros_out"),
+                                          BaseOptions(shards, 1, 64, 3),
+                                          nullptr);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(SerializePlan(plan.value()), batch_key) << "shards=" << shards;
+  }
+}
+
 TEST_F(ShardReleaseTest, SingleShardTakesTheSingleProcessPath) {
   // The 1-shard degenerate layout: open range, no counting pass, full
   // thread budget inside the one worker — and exact byte identity.

@@ -357,6 +357,69 @@ TEST(OodPolicyTest, ExtendPiecePreservesOrderBeyondHull) {
   EXPECT_GT(out.Column(0)[62], out.Column(0)[60]);
 }
 
+TEST(OodPolicyTest, UnseenValueInsideBijectivePieceIsOutOfDomain) {
+  // Two monochromatic runs, {0, 2, ..., 38} of class a and {100, ..., 138}
+  // of class b, fit one permutation piece each. x = 17 lies inside the
+  // first piece's domain but is not one of its values, so Apply snaps it
+  // onto the image of 16 or 18.
+  Dataset data({"x"}, {"a", "b"});
+  for (int i = 0; i < 20; ++i) data.AddRow({AttrValue(2 * i)}, 0);
+  for (int i = 0; i < 20; ++i) data.AddRow({AttrValue(100 + 2 * i)}, 1);
+  Rng rng(5);
+  const TransformPlan plan =
+      TransformPlan::Create(data, PiecewiseOptions{}, rng);
+  ASSERT_TRUE(plan.transform(0).piece(0).bijective);
+  data.AddRow({17}, 0);
+
+  // Covers agrees with and without the LUT: exactly the fitted values are
+  // covered inside the permutation pieces, everything in the gap is.
+  const CompiledTransform lut = CompiledTransform::Compile(plan.transform(0));
+  CompiledTransform::CompileOptions no_lut_options;
+  no_lut_options.enable_lut = false;
+  const CompiledTransform no_lut =
+      CompiledTransform::Compile(plan.transform(0), no_lut_options);
+  ASSERT_TRUE(lut.has_lut());
+  for (int v = -1; v <= 139; ++v) {
+    const bool fitted = (v >= 0 && v <= 38 && v % 2 == 0) ||
+                        (v > 38 && v < 100) ||
+                        (v >= 100 && v <= 138 && v % 2 == 0);
+    EXPECT_EQ(lut.Covers(v), fitted) << v;
+    EXPECT_EQ(no_lut.Covers(v), fitted) << v;
+  }
+  EXPECT_FALSE(lut.Covers(16.5));
+  EXPECT_TRUE(lut.Covers(50.5));
+
+  for (const OodPolicy policy : {OodPolicy::kReject, OodPolicy::kExtendPiece}) {
+    StreamOptions options;
+    options.chunk_rows = 16;
+    options.ood_policy = policy;
+    DatasetChunkReader reader(&data);
+    DatasetChunkWriter writer;
+    auto released =
+        StreamingCustodian::ReleaseWithPlan(reader, writer, plan, options);
+    ASSERT_FALSE(released.ok()) << stream::ToString(policy);
+    EXPECT_EQ(released.status().code(), StatusCode::kOutOfRange);
+    const std::string message = released.status().ToString();
+    EXPECT_NE(message.find("stream row 41: attribute 'x' = 17"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("permutation piece [0, 38]"), std::string::npos)
+        << message;
+  }
+  // clamp keeps the snap and counts it.
+  StreamOptions options;
+  options.ood_policy = OodPolicy::kClamp;
+  DatasetChunkReader reader(&data);
+  DatasetChunkWriter writer;
+  StreamStats stats;
+  auto released = StreamingCustodian::ReleaseWithPlan(reader, writer, plan,
+                                                      options, &stats);
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  EXPECT_EQ(stats.ood_total, 1u);
+  EXPECT_EQ(stats.ood_by_attribute[0], 1u);
+  EXPECT_EQ(writer.collected().Value(40, 0), plan.transform(0).Apply(17));
+}
+
 TEST(OodPolicyTest, ParseAndToStringRoundTrip) {
   for (const OodPolicy policy :
        {OodPolicy::kReject, OodPolicy::kClamp, OodPolicy::kExtendPiece}) {

@@ -6,9 +6,14 @@
 # Stage 1 builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
 # ctest, then hammers the invariant oracles — including stream_vs_batch,
 # the streamed-release == batch-release contract — with a bounded
-# popp_check run. Stage 2 rebuilds with TSan (POPP_SANITIZE=thread) and
-# runs the parallel execution layer's tests, the streaming release tests,
-# the compiled-kernel tests, the frontier tree builder's stress battery
+# popp_check run. Both sanitizer stages also run the release_injective
+# oracle: the batch, two-pass stream and prefix-keyed --key-in releases
+# (reject and extend-piece) must map no two distinct originals of an
+# attribute to one released value, or refuse the release. Stage 2
+# rebuilds with TSan (POPP_SANITIZE=thread) and runs the parallel
+# execution layer's tests, the streaming release tests (the OodPolicy*
+# suites drive --key-in style releases under a prefix-fitted plan), the
+# compiled-kernel tests, the frontier tree builder's stress battery
 # (which sweeps 1/2/3/7/8-thread builds against the serial bytes) with
 # the frontier_vs_resort oracle (the frontier engine at 1-8 threads
 # against the serial kResort reference), and the parallel_determinism +
@@ -18,7 +23,9 @@
 # — TSan cannot host fork()), the serve_vs_cli oracle and the
 # popp-serve test battery (byte-identity, tenant isolation, malformed
 # frames, kill-mid-request crash schedules), and a final smoke stage
-# round-trips a real popp-serve process against `popp encode`. Both
+# round-trips a real popp-serve process against `popp encode`, sends it
+# an encode with an `inf` cell (which must be refused by name while the
+# daemon keeps answering `health`), then drains it to exit 0. Both
 # stages also run the supervised_convergence oracle — randomized
 # crash/error/delay schedules over the shard pipeline and the admission-
 # controlled daemon, under a hard wall-clock timeout so an undetected
@@ -61,6 +68,13 @@ echo "== fault injection: crash-safety oracle + corrupt corpus under ASan =="
   --trials 25 --seed 11 --out "$build_dir"
 "$build_dir/tests/popp_tests" \
   --gtest_filter='FailPoint*:FaultFile*:Manifest*:FaultCrashSafety*:SerializeGolden.Corrupt*:SerializeGolden.Legacy*:SerializeGolden.Cols*:Cols*'
+
+echo "== release_injective oracle under ASan (bounded) =="
+# The no-collision contract on every path that can emit a release: batch,
+# two-pass stream, and a prefix-fitted --key-in plan under reject and
+# extend-piece (which may only refuse with OUT_OF_RANGE).
+"$build_dir/tools/popp_check" --oracle release_injective \
+  --trials 100 --seed 23 --out "$build_dir"
 
 echo "== cols_vs_csv oracle under ASan (bounded) =="
 # The interchange-format contract: CSV -> popp-cols -> CSV is the
@@ -170,6 +184,10 @@ echo "== compiled_vs_interpreted oracle under TSan (bounded) =="
 "$tsan_build_dir/tools/popp_check" --oracle compiled_vs_interpreted \
   --trials 25 --seed 7 --out "$tsan_build_dir"
 
+echo "== release_injective oracle under TSan (bounded) =="
+"$tsan_build_dir/tools/popp_check" --oracle release_injective \
+  --trials 25 --seed 7 --out "$tsan_build_dir"
+
 echo "== cols_vs_csv oracle under TSan (bounded) =="
 "$tsan_build_dir/tools/popp_check" --oracle cols_vs_csv \
   --trials 25 --seed 7 --out "$tsan_build_dir"
@@ -208,8 +226,10 @@ timeout 900 "$tsan_build_dir/tools/popp_check" \
 
 echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push one cols-framed encode through
-# `popp serve-client`, byte-compare against `popp encode`, then shut the
-# daemon down and verify it drained (exit 0) and removed its socket.
+# `popp serve-client`, byte-compare against `popp encode`, send an encode
+# with an `inf` cell (refused by name; the daemon must still answer
+# `health`), then shut the daemon down and verify it drained (exit 0) and
+# removed its socket.
 cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -235,6 +255,15 @@ cmp "$serve_dir/oneshot.csv" "$serve_dir/served.csv"
 "$build_dir/tools/popp" convert "$serve_dir/served.cols" \
   "$serve_dir/served_from_cols.csv"
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served_from_cols.csv"
+printf 'u,v,w,class\n1,2,3,p\n4,inf,6,q\n' > "$serve_dir/inf.csv"
+if "$build_dir/tools/popp" serve-client "$sock" encode \
+    "$serve_dir/inf.csv" "$serve_dir/inf_out.csv" 2> "$serve_dir/inf.err"; then
+  echo "daemon encoded a non-finite cell"; exit 1
+fi
+grep -q "attribute 'v' = inf" "$serve_dir/inf.err" || {
+  echo "refusal does not name the inf value:"; cat "$serve_dir/inf.err"; exit 1
+}
+"$build_dir/tools/popp" serve-client "$sock" health
 "$build_dir/tools/popp" serve-client "$sock" shutdown
 wait "$serve_pid"
 [ ! -e "$sock" ] || { echo "daemon left its socket behind"; exit 1; }
