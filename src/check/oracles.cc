@@ -617,21 +617,20 @@ std::string InjectivityViolation(const Dataset& original,
     for (size_t r = 0; r < original.NumRows(); ++r) {
       const AttrValue x = original.Value(r, a);
       const AttrValue y = released.Value(r, a);
-      const auto [image, fresh_x] = image_of.emplace(x, y);
-      const auto [preimage, fresh_y] = original_of.emplace(y, x);
+      const AttrValue image = image_of.emplace(x, y).first->second;
+      const AttrValue preimage = original_of.emplace(y, x).first->second;
+      if (image == y && preimage == x) continue;
       std::ostringstream oss;
       oss << "attr " << a << " row " << r + 1 << ": ";
-      if (!fresh_x && image->second != y) {
+      if (image != y) {
         oss << "original " << FormatCsvCell(x) << " is released as both "
-            << FormatCsvCell(image->second) << " and " << FormatCsvCell(y);
-        return oss.str();
-      }
-      if (!fresh_y && preimage->second != x) {
-        oss << "originals " << FormatCsvCell(preimage->second) << " and "
+            << FormatCsvCell(image) << " and " << FormatCsvCell(y);
+      } else {
+        oss << "originals " << FormatCsvCell(preimage) << " and "
             << FormatCsvCell(x) << " are both released as "
             << FormatCsvCell(y);
-        return oss.str();
       }
+      return oss.str();
     }
   }
   return "";
@@ -657,7 +656,8 @@ OracleResult CheckReleaseInjective(const Dataset& original,
   {
     stream::DatasetChunkReader reader(&original);
     stream::DatasetChunkWriter writer;
-    auto streamed = stream::StreamingCustodian::Release(reader, writer, options);
+    auto streamed =
+        stream::StreamingCustodian::Release(reader, writer, options);
     if (!streamed.ok()) {
       return OracleResult::Fail("streamed release failed: " +
                                 streamed.status().ToString());

@@ -99,15 +99,12 @@ constexpr char kUsage[] =
     "--seed -1), is a usage error. Attribute values must be finite: an\n"
     "inf or nan cell fails the command, naming its row and attribute.\n"
     "\n"
-    "stream-release fits on every row (two passes), or with --key-in\n"
-    "encodes under a saved key in one pass. --ood-policy, which needs\n"
-    "--key-in, decides values the key was not fitted on: outside its\n"
-    "domain, or inside a bijective piece that never saw them. reject\n"
-    "(default) and extend-piece refuse the latter; clamp snaps it onto a\n"
-    "fitted value's image. It journals progress in <out.csv>.manifest and\n"
-    "stages bytes in <out.csv>.partial; --resume continues an interrupted\n"
-    "run (byte-identical to an uninterrupted one) instead of starting\n"
-    "over.\n"
+    "stream-release fits on every row, or encodes under a saved --key-in\n"
+    "key; --ood-policy, which needs --key-in, decides values the key was\n"
+    "not fitted on (outside its domain, or unseen inside a bijective\n"
+    "piece). It journals progress in <out.csv>.manifest and stages bytes\n"
+    "in <out.csv>.partial; --resume continues an interrupted run\n"
+    "(byte-identical to an uninterrupted one) instead of starting over.\n"
     "\n"
     "shard-release splits the input into --shards disjoint row ranges,\n"
     "summarizes them in parallel (thread workers, or forked processes\n"

@@ -61,8 +61,8 @@ class ChunkWriter {
   }
 
   /// Number of leading chunks already durably written by an interrupted
-  /// run. The driver re-reads those chunks for NoteSkipped's row-count
-  /// cross-check but neither re-encodes nor re-appends them.
+  /// run. StreamingCustodian re-reads those chunks for NoteSkipped's
+  /// row-count cross-check but neither re-encodes nor re-appends them.
   virtual size_t CompletedChunks() const { return 0; }
 
   /// Driver notification for each skipped chunk, carrying the row count

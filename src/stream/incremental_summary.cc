@@ -9,16 +9,24 @@
 namespace popp::stream {
 namespace {
 
+/// Re-keys the zero entry `it` of `counts` as -0.0 (rare: at most once per
+/// attribute and source).
+template <typename ValueCounts>
+[[gnu::noinline]] typename ValueCounts::iterator NegativeZeroKey(
+    ValueCounts& counts, typename ValueCounts::iterator it) {
+  auto node = counts.extract(it);
+  node.key() = -0.0;
+  return counts.insert(std::move(node)).position;
+}
+
 /// The counts slot of `x`. Zero's key becomes -0.0 once any -0.0 arrives,
 /// so the summary does not depend on which zero came first (the batch
 /// AttributeSummary::FromSortedTuples makes the same choice).
 template <typename ValueCounts>
 std::vector<uint32_t>& SlotOf(ValueCounts& counts, AttrValue x) {
   auto it = counts.try_emplace(x).first;
-  if (x == 0 && std::signbit(x) && !std::signbit(it->first)) {
-    auto node = counts.extract(it);
-    node.key() = x;
-    it = counts.insert(std::move(node)).position;
+  if (x == 0 && std::signbit(x) && !std::signbit(it->first)) [[unlikely]] {
+    it = NegativeZeroKey(counts, it);
   }
   return it->second;
 }

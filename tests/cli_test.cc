@@ -306,7 +306,7 @@ TEST_F(CliTest, StreamReleaseClampToleratesUnseenTail) {
   EXPECT_NE(r.out.find("out-of-domain values:"), std::string::npos);
 }
 
-TEST(CliKeyInTest, UnseenValueInsideBijectivePieceIsOutOfDomain) {
+TEST(CliBasicsTest, KeyInUnseenValueInsideBijectivePieceIsOutOfDomain) {
   // The key is fitted on 40 rows whose x values form two monochromatic
   // runs, {0, 2, ..., 38} of class a and {100, ..., 138} of class b, so
   // each run is one permutation piece. The release adds x = 17: inside
