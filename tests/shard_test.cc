@@ -863,23 +863,58 @@ TEST(MetaManifestTest, WrongKeyIsRejected) {
 // filter them with --gtest_filter=-*ShardProcess*.)
 
 TEST(ShardProcessTest, ByteIdentityAcrossForkedWorkers) {
-  const Dataset data = CovtypeLikeData(130, 61);
-  for (const bool cols : {false, true}) {
-    const std::string input =
-        WriteInput(data, cols ? "proc.cols" : "proc.csv", cols);
+  // Random data in both formats, plus a covertype-like CSV whose plan has
+  // monochromatic, bijective pieces. Each release is held to the stream
+  // golden and to the batch release `popp encode` writes for the input.
+  struct Input {
+    Dataset data;
+    std::string name;
+    bool cols;
+    size_t shards;
+    bool permutes;  // the plan must permute a multi-value piece
+  };
+  Rng rng(61);
+  const Dataset random = CovtypeLikeData(130, 61);
+  const Input inputs[] = {
+      {random, "proc.csv", false, 3, false},
+      {random, "proc.cols", true, 3, false},
+      {GenerateCovtypeLike(SmallCovtypeSpec(400), rng), "proc_covtype.csv",
+       false, 4, true},
+  };
+  for (const Input& in : inputs) {
+    const std::string input = WriteInput(in.data, in.name, in.cols);
     std::string golden_plan;
     const std::string golden = StreamReleaseBytes(input, 48, 6, &golden_plan);
+    auto read = in.cols ? ReadCols(input) : ReadCsv(input);
+    ASSERT_TRUE(read.ok()) << read.status().ToString() << " " << in.name;
+    Rng batch_rng(6);
+    const TransformPlan batch =
+        TransformPlan::Create(read.value(), PiecewiseOptions{}, batch_rng);
+    if (in.permutes) {
+      size_t permuted = 0;
+      for (size_t a = 0; a < batch.NumAttributes(); ++a) {
+        for (size_t p = 0; p < batch.transform(a).NumPieces(); ++p) {
+          const auto& piece = batch.transform(a).piece(p);
+          permuted += piece.bijective && piece.domain_lo < piece.domain_hi;
+        }
+      }
+      EXPECT_GT(permuted, 0u) << in.name;
+    }
     const std::string out = TempPath("proc_out");
-    ShardOptions options = BaseOptions(3, 2, 48, 6);
+    ShardOptions options = BaseOptions(in.shards, 2, 48, 6);
     options.workers_mode = shard::WorkersMode::kProcess;
     ShardStats stats;
     auto plan = ShardedCustodian::Release(input, out, options, &stats);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString() << " cols=" << cols;
-    EXPECT_EQ(SerializePlan(plan.value()), golden_plan) << "cols=" << cols;
-    EXPECT_EQ(ConcatShards(out, 3), golden) << "cols=" << cols;
-    EXPECT_EQ(stats.rows, data.NumRows());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString() << " " << in.name;
+    EXPECT_EQ(SerializePlan(plan.value()), golden_plan) << in.name;
+    EXPECT_EQ(SerializePlan(plan.value()), SerializePlan(batch)) << in.name;
+    const std::string released = ConcatShards(out, in.shards);
+    EXPECT_EQ(released, golden) << in.name;
+    EXPECT_EQ(released, ToCsvString(batch.EncodeDataset(read.value())))
+        << in.name;
+    EXPECT_EQ(stats.rows, in.data.NumRows());
     // The summary hand-off artifacts are consumed and removed.
-    for (size_t k = 0; k < 3; ++k) {
+    for (size_t k = 0; k < in.shards; ++k) {
       EXPECT_FALSE(fault::FileExists(shard::ShardSummaryPath(out, k)));
     }
     const uint64_t crc = Crc64(golden_plan);
