@@ -14,7 +14,8 @@
 /// connection stays open across calls (the daemon serves one in-flight
 /// request per connection, so sequential calls reuse the hot path without
 /// re-connecting). Used by the `popp serve-client` CLI subcommand, the
-/// serve tests, the serve_vs_cli oracle and bench_serve.
+/// serve tests, the serve_vs_cli oracle and perfbench's serve_mix
+/// workload.
 ///
 /// `CallWithRetry` layers the overload contract on top of Call: a shed
 /// reply (kUnavailable) is retried on the same connection after the
