@@ -1,6 +1,7 @@
 #include "core/cli.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -96,8 +97,10 @@ constexpr char kUsage[] =
     "whichever format the input arrives in.\n"
     "Flags are checked strictly: a flag the command does not take, or a\n"
     "numeric value that is not a whole unsigned decimal (--seed 3x,\n"
-    "--seed -1), is a usage error. Attribute values must be finite: an\n"
-    "inf or nan cell fails the command, naming its row and attribute.\n"
+    "--seed -1), is a usage error, as is a count (--trials, --shards,\n"
+    "--chunk-rows) of 0 or a --max-risk outside 1-100. Attribute values\n"
+    "must be finite: an inf or nan cell fails the command, naming its row\n"
+    "and attribute.\n"
     "\n"
     "stream-release fits on every row, or encodes under a saved --key-in\n"
     "key; --ood-policy, which needs --key-in, decides values the key was\n"
@@ -222,6 +225,21 @@ uint64_t FlagInt(const ParsedArgs& args, const std::string& name,
   return value;
 }
 
+/// FlagInt for a flag whose value must lie in [1, max]. A value outside
+/// it is reported to `err` and yields nullopt (a usage error, exit 2).
+std::optional<uint64_t> PositiveFlag(const ParsedArgs& args,
+                                     const std::string& name,
+                                     uint64_t fallback, std::ostream& err,
+                                     uint64_t max = UINT64_MAX) {
+  const uint64_t value = FlagInt(args, name, fallback);
+  if (value >= 1 && value <= max) return value;
+  err << "--" << name << " must be "
+      << (max == UINT64_MAX ? std::string(">= 1")
+                            : "in 1-" + std::to_string(max))
+      << ", got " << value << "\n";
+  return std::nullopt;
+}
+
 ExecPolicy ExecFlags(const ParsedArgs& args) {
   return ExecPolicy{static_cast<size_t>(FlagInt(args, "threads", 1))};
 }
@@ -340,11 +358,9 @@ int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
   options.transform = *transform;
   options.seed = FlagInt(args, "seed", 1);
   options.exec = ExecFlags(args);
-  options.chunk_rows = FlagInt(args, "chunk-rows", 4096);
-  if (options.chunk_rows == 0) {
-    err << "--chunk-rows must be >= 1\n";
-    return 2;
-  }
+  const auto chunk_rows = PositiveFlag(args, "chunk-rows", 4096, err);
+  if (!chunk_rows) return 2;
+  options.chunk_rows = *chunk_rows;
   auto key_it = args.flags.find("key-in");
   auto policy_it = args.flags.find("ood-policy");
   if (policy_it != args.flags.end()) {
@@ -415,16 +431,11 @@ int CmdShardRelease(const ParsedArgs& args, std::ostream& out,
   options.transform = *transform;
   options.seed = FlagInt(args, "seed", 1);
   options.exec = ExecFlags(args);
-  options.num_shards = FlagInt(args, "shards", 2);
-  if (options.num_shards == 0) {
-    err << "--shards must be >= 1\n";
-    return 2;
-  }
-  options.chunk_rows = FlagInt(args, "chunk-rows", 4096);
-  if (options.chunk_rows == 0) {
-    err << "--chunk-rows must be >= 1\n";
-    return 2;
-  }
+  const auto shards = PositiveFlag(args, "shards", 2, err);
+  const auto chunk_rows = PositiveFlag(args, "chunk-rows", 4096, err);
+  if (!shards || !chunk_rows) return 2;
+  options.num_shards = *shards;
+  options.chunk_rows = *chunk_rows;
   options.resume = args.flags.count("resume") > 0;
   auto mode_it = args.flags.find("workers-mode");
   if (mode_it != args.flags.end()) {
@@ -512,6 +523,12 @@ int CmdDecode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << original.status().ToString() << "\n";
     return ExitFor(original.status());
   }
+  const Status agree =
+      CheckDecodeInputs(tree.value(), plan.value(), original.value());
+  if (!agree.ok()) {
+    err << agree.ToString() << "\n";
+    return ExitFor(agree);
+  }
   const DecisionTree decoded =
       DecodeTreeWithData(tree.value(), plan.value(), original.value());
   const Status status = SaveTree(decoded, args.positional[3]);
@@ -592,6 +609,8 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "report needs <data.csv>\n";
     return 2;
   }
+  const auto trials = PositiveFlag(args, "trials", 31, err);
+  if (!trials) return 2;
   auto data = ReadDataset(args, args.positional[0]);
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
@@ -602,7 +621,7 @@ int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   options.exec = ExecFlags(args);
   const Custodian custodian(std::move(data).value(), options);
   ReportOptions report_options;
-  report_options.num_trials = FlagInt(args, "trials", 31);
+  report_options.num_trials = *trials;
   report_options.seed = options.seed + 1;
   report_options.exec = options.exec;
   out << RenderRiskReport(BuildRiskReport(custodian, report_options));
@@ -614,15 +633,17 @@ int CmdHarden(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << "harden needs <data.csv>\n";
     return 2;
   }
+  const auto max_risk = PositiveFlag(args, "max-risk", 25, err, 100);
+  const auto trials = PositiveFlag(args, "trials", 21, err);
+  if (!max_risk || !trials) return 2;
   auto data = ReadDataset(args, args.positional[0]);
   if (!data.ok()) {
     err << data.status().ToString() << "\n";
     return ExitFor(data.status());
   }
   HardeningTargets targets;
-  targets.max_risk =
-      static_cast<double>(FlagInt(args, "max-risk", 25)) / 100.0;
-  targets.trials = FlagInt(args, "trials", 21);
+  targets.max_risk = static_cast<double>(*max_risk) / 100.0;
+  targets.trials = *trials;
   targets.exec = ExecFlags(args);
   const auto decisions = RecommendPerAttributeOptions(
       data.value(), PiecewiseOptions{}, targets, FlagInt(args, "seed", 1));

@@ -82,6 +82,10 @@ Result<OpOptions> ParseOptions(const std::string& text,
           std::min<uint64_t>(resolved, config.max_request_threads));
     } else if (key == "trials") {
       if (!numeric) return not_a_number();
+      if (number == 0) {
+        return Status::InvalidArgument(
+            "request option 'trials' must be >= 1, got 0");
+      }
       options.trials = number;
     } else if (key == "save") {
       options.save_path = value;
@@ -295,6 +299,9 @@ ReplyBody OpDecode(Workspace& workspace, const RequestBody& request,
   ++workspace.requests_served;
   const auto [cached, hot] = GetOrFitPlan(workspace, data.value(),
                                           options.value());
+  const Status agree =
+      CheckDecodeInputs(tree.value(), cached->plan, data.value());
+  if (!agree.ok()) return ReplyBody::Error(agree);
   const DecisionTree decoded =
       DecodeTreeWithData(tree.value(), cached->plan, data.value());
   if (auto late = DeadlineReply(context, "after the decode")) {

@@ -28,7 +28,7 @@
 ///   threads N       ExecPolicy for this request        (default 1; 0 =
 ///                   all hardware threads, as in the CLI; either way
 ///                   capped by the server's max_request_threads)
-///   trials N        risk-report trials                 (risk; default 31)
+///   trials N        risk-report trials, >= 1           (risk; default 31)
 ///   deadline-ms N   relative deadline for this request. The server
 ///                   anchors it at frame receipt against its own steady
 ///                   clock (client/server clock skew never matters) and

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
-
-#include "util/status.h"
 
 namespace popp {
 namespace {
@@ -106,6 +105,34 @@ DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
   for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
   out.SetRoot(walk(tprime.root(), rows));
   return out;
+}
+
+Status CheckDecodeInputs(const DecisionTree& tprime, const TransformPlan& plan,
+                         const Dataset& original) {
+  const std::string data_attributes =
+      std::to_string(original.NumAttributes()) + " attributes";
+  if (plan.NumAttributes() != original.NumAttributes()) {
+    return Status::InvalidArgument(
+        "the key has " + std::to_string(plan.NumAttributes()) +
+        " attributes but the data has " + data_attributes);
+  }
+  for (NodeId id = 0; static_cast<size_t>(id) < tprime.NumNodes(); ++id) {
+    const DecisionTree::Node& n = tprime.node(id);
+    if (!n.is_leaf && n.attribute >= original.NumAttributes()) {
+      return Status::InvalidArgument(
+          "the tree splits on attribute index " +
+          std::to_string(n.attribute) + " but the data has " +
+          data_attributes);
+    }
+    if (n.is_leaf && (n.label < 0 || static_cast<size_t>(n.label) >=
+                                         original.NumClasses())) {
+      return Status::InvalidArgument(
+          "the tree predicts class id " + std::to_string(n.label) +
+          " but the data has " + std::to_string(original.NumClasses()) +
+          " classes");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace popp

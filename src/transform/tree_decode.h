@@ -4,6 +4,7 @@
 #include "data/dataset.h"
 #include "transform/plan.h"
 #include "tree/decision_tree.h"
+#include "util/status.h"
 
 /// \file
 /// Decoding the mined tree T' back into the original space (Theorem 2).
@@ -38,6 +39,14 @@ DecisionTree DecodeTree(const DecisionTree& tprime, const TransformPlan& plan);
 DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
                                 const TransformPlan& plan,
                                 const Dataset& original);
+
+/// Checks that the tree, key and data of a decode agree, so that outside
+/// input cannot reach DecodeTreeWithData's CHECKs: the plan has one
+/// transform per attribute of `original`, every split names one of its
+/// attributes and every leaf one of its classes. A mismatch is
+/// kInvalidArgument naming it.
+Status CheckDecodeInputs(const DecisionTree& tprime, const TransformPlan& plan,
+                         const Dataset& original);
 
 }  // namespace popp
 

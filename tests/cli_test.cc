@@ -424,6 +424,75 @@ TEST(CliBasicsTest, StreamReleaseZeroChunkRowsReported) {
   EXPECT_NE(r.err.find("--chunk-rows"), std::string::npos);
 }
 
+TEST(CliBasicsTest, TrialsAndMaxRiskOutOfRangeAreUsageErrors) {
+  // Checked before any file is opened, so the risk harnesses never see a
+  // zero trial count or a risk target outside (0, 1].
+  const std::vector<std::pair<std::vector<std::string>, std::string>> runs = {
+      {{"report", "in.csv", "--trials", "0"}, "--trials must be >= 1"},
+      {{"harden", "in.csv", "--trials", "0"}, "--trials must be >= 1"},
+      {{"harden", "in.csv", "--max-risk", "0"}, "--max-risk must be in 1-100"},
+      {{"harden", "in.csv", "--max-risk", "101"},
+       "--max-risk must be in 1-100, got 101"},
+  };
+  for (const auto& [args, message] : runs) {
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 2) << args[0] << " " << args[2] << " " << args[3];
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
+}
+
+TEST(CliBasicsTest, DecodeRefusesTreeKeyAndDataThatDisagree) {
+  // The data has 3 attributes and 2 classes. Each decode below names
+  // something it lacks and must fail with INVALID_ARGUMENT (exit 1).
+  const std::string data_csv = TempPath("agree.csv");
+  const std::string wide_csv = TempPath("agree_wide.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(
+                  data_csv, "a,b,c,class\n1,2,3,x\n4,5,6,y\n7,8,9,x\n")
+                  .ok());
+  ASSERT_TRUE(fault::WriteFileAtomic(
+                  wide_csv, "a,b,c,d,e,class\n1,2,3,4,5,x\n6,7,8,9,10,y\n")
+                  .ok());
+  const std::string key = TempPath("agree.key");
+  const std::string wide_key = TempPath("agree_wide.key");
+  ASSERT_EQ(RunPopp({"encode", data_csv, TempPath("agree_out.csv"), key})
+                .code,
+            0);
+  ASSERT_EQ(RunPopp({"encode", wide_csv, TempPath("agree_out.csv"),
+                     wide_key})
+                .code,
+            0);
+  const auto write_tree = [](const std::string& name, size_t attribute,
+                             ClassId right_label) {
+    DecisionTree tree;
+    const NodeId left = tree.AddLeaf(0);
+    const NodeId right = tree.AddLeaf(right_label);
+    tree.SetRoot(tree.AddInternal(attribute, 0.5, left, right));
+    const std::string path = TempPath(name);
+    EXPECT_TRUE(SaveTree(tree, path).ok());
+    return path;
+  };
+  const std::string fits = write_tree("agree_fits.tree", 0, 1);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> runs = {
+      {{"decode", fits, wide_key, data_csv, TempPath("agree_dec.tree")},
+       "the key has 5 attributes but the data has 3 attributes"},
+      {{"decode", write_tree("agree_attr.tree", 3, 1), key, data_csv,
+        TempPath("agree_dec.tree")},
+       "the tree splits on attribute index 3 but the data has 3 attributes"},
+      {{"decode", write_tree("agree_class.tree", 0, 2), key, data_csv,
+        TempPath("agree_dec.tree")},
+       "the tree predicts class id 2 but the data has 2 classes"},
+  };
+  for (const auto& [args, message] : runs) {
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 1) << r.err;
+    EXPECT_NE(r.err.find("INVALID_ARGUMENT"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  }
+  const CliResult ok =
+      RunPopp({"decode", fits, key, data_csv, TempPath("agree_dec.tree")});
+  EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
 // ------------------------------------------------------- shard-release --
 
 std::string ReadAll(const std::string& path) {
@@ -855,6 +924,31 @@ TEST_F(CliServeTest, HealthOpReportsAdmissionCounters) {
   EXPECT_NE(r.out.find("inflight 0"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("max-inflight"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("connections"), std::string::npos) << r.out;
+}
+
+TEST_F(CliServeTest, BadRiskAndDecodeRequestsFailWithoutKillingTheDaemon) {
+  // The data has 3 attributes; the tree splits on attribute index 4.
+  DecisionTree wide;
+  const NodeId left = wide.AddLeaf(0);
+  const NodeId right = wide.AddLeaf(1);
+  wide.SetRoot(wide.AddInternal(4, 0.5, left, right));
+  const std::string wide_tree = TempPath("srv_wide.tree");
+  ASSERT_TRUE(SaveTree(wide, wide_tree).ok());
+  const CliResult risk = RunPopp(
+      {"serve-client", socket_path_, "risk", csv_path_, "--trials", "0"});
+  EXPECT_EQ(risk.code, 1) << risk.err;
+  EXPECT_NE(risk.err.find("'trials' must be >= 1"), std::string::npos)
+      << risk.err;
+  const CliResult decode =
+      RunPopp({"serve-client", socket_path_, "decode", wide_tree, csv_path_,
+               TempPath("srv_wide_out.tree")});
+  EXPECT_EQ(decode.code, 1) << decode.err;
+  EXPECT_NE(decode.err.find("the tree splits on attribute index 4"),
+            std::string::npos)
+      << decode.err;
+  const CliResult health = RunPopp({"serve-client", socket_path_, "health"});
+  EXPECT_EQ(health.code, 0) << health.err;
+  // TearDown drains the daemon and asserts exit 0.
 }
 
 TEST_F(CliServeTest, ExpiredDeadlineIsTheOverloadExit) {

@@ -32,6 +32,7 @@
 #include "transform/compiled.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
+#include "tree/serialize.h"
 #include "util/crc64.h"
 #include "util/rng.h"
 
@@ -768,6 +769,50 @@ TEST_F(ServeEndToEndTest, NonFiniteCellsGetAnErrorReplyAndTheDaemonLivesOn) {
                                                        .AttributeName(2) +
                                                    "' = nan"
                                              : "row 2: attribute 'b' = inf"),
+              std::string::npos)
+        << reply.value().text;
+  }
+  auto health = client.Call(Tag::kHealth, "t", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok()) << health.value().text;
+  auto down = client.Call(Tag::kShutdown, "", RequestBody{});
+  ASSERT_TRUE(down.ok());
+  EXPECT_TRUE(down.value().ok());
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
+TEST_F(ServeEndToEndTest, BadRiskAndDecodeRequestsGetErrorRepliesAndTheDaemonLivesOn) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("badreq");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+
+  // Zero risk trials, and a tree that splits on an attribute the data
+  // (3 attributes) lacks: each reached a CHECK and aborted the daemon for
+  // every tenant. Both must be refused in the reply instead.
+  DecisionTree wide;
+  const NodeId left = wide.AddLeaf(0);
+  const NodeId right = wide.AddLeaf(1);
+  wide.SetRoot(wide.AddInternal(4, 0.5, left, right));
+  RequestBody risk;
+  risk.options = "trials 0\n";
+  risk.dataset = csv_bytes_;
+  RequestBody decode;
+  decode.options = "seed 4\n";
+  decode.extra = SerializeTree(wide);
+  decode.dataset = csv_bytes_;
+  const std::pair<Tag, const RequestBody*> requests[] = {
+      {Tag::kRisk, &risk}, {Tag::kDecode, &decode}};
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+  for (const auto& [tag, request] : requests) {
+    auto reply = client.Call(tag, "t", *request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().code, StatusCode::kInvalidArgument)
+        << reply.value().text;
+    EXPECT_NE(reply.value().text.find(tag == Tag::kRisk
+                                          ? "'trials' must be >= 1"
+                                          : "attribute index 4"),
               std::string::npos)
         << reply.value().text;
   }
