@@ -10,30 +10,34 @@
 #include "attack/sorting_attack.h"
 #include "data/csv.h"
 #include "transform/serialize.h"
+#include "util/decimal.h"
 #include "util/status.h"
 
 namespace popp::bench {
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
+/// The value of environment variable `name`, or `fallback` when it is
+/// unset. Anything but a whole unsigned decimal (the rule every popp flag
+/// follows), or 0 where `positive`, exits 2 naming the variable.
+uint64_t EnvNumber(const char* name, uint64_t fallback, bool positive) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || parsed == 0) {
-    std::fprintf(stderr, "ignoring invalid %s='%s'\n", name, value);
-    return fallback;
+  if (value == nullptr) return fallback;
+  uint64_t parsed = 0;
+  if (!ParseDecimalU64(value, &parsed) || (positive && parsed == 0)) {
+    std::fprintf(stderr, "%s='%s' must be an unsigned decimal integer%s\n",
+                 name, value, positive ? " >= 1" : "");
+    std::exit(2);
   }
-  return static_cast<size_t>(parsed);
+  return parsed;
 }
 
 }  // namespace
 
 ExperimentEnv GetEnv() {
   ExperimentEnv env;
-  env.rows = EnvSize("POPP_ROWS", env.rows);
-  env.trials = EnvSize("POPP_TRIALS", env.trials);
-  env.seed = EnvSize("POPP_SEED", env.seed);
+  env.rows = EnvNumber("POPP_ROWS", env.rows, /*positive=*/true);
+  env.trials = EnvNumber("POPP_TRIALS", env.trials, /*positive=*/true);
+  env.seed = EnvNumber("POPP_SEED", env.seed, /*positive=*/false);
   return env;
 }
 

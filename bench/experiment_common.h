@@ -27,6 +27,8 @@
 ///   POPP_ROWS    dataset size            (default 20000; paper: 581012)
 ///   POPP_TRIALS  randomized trials/figure (default 101;   paper: 500)
 ///   POPP_SEED    master seed              (default 42)
+/// Each takes whole unsigned decimal text, as popp's flags do; rows and
+/// trials must be at least 1. Any other value exits 2, naming it.
 
 namespace popp::bench {
 
@@ -37,7 +39,7 @@ struct ExperimentEnv {
   uint64_t seed = 42;
 };
 
-/// Reads POPP_ROWS / POPP_TRIALS / POPP_SEED.
+/// Reads POPP_ROWS / POPP_TRIALS / POPP_SEED; exits 2 on a bad value.
 ExperimentEnv GetEnv();
 
 /// Prints the standard experiment banner (name + configuration).
