@@ -3,7 +3,10 @@
 #
 # Usage: tools/ci_check.sh [build-dir]
 #
-# Stage 1 builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
+# A cheap first stage checks the committed benchmark results: README.md,
+# DESIGN.md and EXPERIMENTS.md may cite only a BENCH_*.json that git
+# tracks, and every tracked BENCH_*.json must record its host. Stage 1
+# builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
 # ctest, then hammers the invariant oracles — including stream_vs_batch,
 # the streamed-release == batch-release contract — with a bounded
 # popp_check run. Both sanitizer stages also run the release_injective
@@ -24,8 +27,10 @@
 # popp-serve test battery (byte-identity, tenant isolation, malformed
 # frames, kill-mid-request crash schedules), and a final smoke stage
 # round-trips a real popp-serve process against `popp encode`, sends it
-# an encode with an `inf` cell (which must be refused by name while the
-# daemon keeps answering `health`), then drains it to exit 0. Both
+# an encode with an `inf` cell, a risk request with zero trials and a
+# decode whose tree splits on an attribute the data lacks (each must be
+# refused by name while the daemon keeps answering `health`), then
+# drains it to exit 0. Both
 # stages also run the supervised_convergence oracle — randomized
 # crash/error/delay schedules over the shard pipeline and the admission-
 # controlled daemon, under a hard wall-clock timeout so an undetected
@@ -43,6 +48,35 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-ci}"
 tsan_build_dir="${build_dir}-tsan"
+
+echo "== committed benchmark results: cited files tracked, hosts recorded =="
+# A performance figure in the docs must rest on a committed result that
+# says where it was measured. A result file records a "host" object at
+# its top level, or in each entry of its "results" list.
+(cd "$repo_root" && python3 - <<'PY'
+import json, re, subprocess, sys
+
+tracked = subprocess.run(["git", "ls-files", "BENCH_*.json"], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.split()
+problems = []
+for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+    with open(doc) as f:
+        for name in sorted(set(re.findall(r"BENCH_\w+\.json", f.read()))):
+            if name not in tracked:
+                problems.append(doc + " cites " + name +
+                                ", which git does not track")
+for name in tracked:
+    with open(name) as f:
+        data = json.load(f)
+    entries = data.get("results") or [data]
+    if not isinstance(data.get("host"), dict) and not all(
+            isinstance(e.get("host"), dict) for e in entries):
+        problems.append(name + " records no \"host\" object")
+for problem in problems:
+    print(problem)
+sys.exit(1 if problems else 0)
+PY
+)
 
 echo "== configure (ASan+UBSan) =="
 cmake -B "$build_dir" -S "$repo_root" \
@@ -226,10 +260,11 @@ timeout 900 "$tsan_build_dir/tools/popp_check" \
 
 echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push one cols-framed encode through
-# `popp serve-client`, byte-compare against `popp encode`, send an encode
-# with an `inf` cell (refused by name; the daemon must still answer
-# `health`), then shut the daemon down and verify it drained (exit 0) and
-# removed its socket.
+# `popp serve-client`, byte-compare against `popp encode`, send three bad
+# requests (an encode with an `inf` cell, a risk report with zero trials,
+# a decode whose tree splits on attribute index 4 of 3-attribute data),
+# each refused by name while the daemon still answers `health`, then shut
+# the daemon down and verify it drained (exit 0) and removed its socket.
 cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -255,14 +290,27 @@ cmp "$serve_dir/oneshot.csv" "$serve_dir/served.csv"
 "$build_dir/tools/popp" convert "$serve_dir/served.cols" \
   "$serve_dir/served_from_cols.csv"
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served_from_cols.csv"
-printf 'u,v,w,class\n1,2,3,p\n4,inf,6,q\n' > "$serve_dir/inf.csv"
-if "$build_dir/tools/popp" serve-client "$sock" encode \
-    "$serve_dir/inf.csv" "$serve_dir/inf_out.csv" 2> "$serve_dir/inf.err"; then
-  echo "daemon encoded a non-finite cell"; exit 1
-fi
-grep -q "attribute 'v' = inf" "$serve_dir/inf.err" || {
-  echo "refusal does not name the inf value:"; cat "$serve_dir/inf.err"; exit 1
+# refused MESSAGE ARGS...: `popp ARGS` must fail, naming MESSAGE.
+refused() {
+  local message="$1"
+  shift
+  if "$build_dir/tools/popp" "$@" 2> "$serve_dir/refused.err"; then
+    echo "popp $* succeeded; expected a refusal naming: $message"; exit 1
+  fi
+  grep -qF "$message" "$serve_dir/refused.err" || {
+    echo "popp $* was refused without naming '$message':"
+    cat "$serve_dir/refused.err"; exit 1
+  }
 }
+printf 'u,v,w,class\n1,2,3,p\n4,inf,6,q\n' > "$serve_dir/inf.csv"
+printf 'popp-tree v1\nsplit 4 0.5 hist 0\nleaf 0 hist 0\nleaf 1 hist 0\n' \
+  > "$serve_dir/wide.tree"
+refused "attribute 'v' = inf" serve-client "$sock" encode \
+  "$serve_dir/inf.csv" "$serve_dir/inf_out.csv"
+refused "'trials' must be >= 1" serve-client "$sock" risk \
+  "$serve_dir/data.csv" --trials 0
+refused "splits on attribute index 4" serve-client "$sock" decode \
+  "$serve_dir/wide.tree" "$serve_dir/data.csv" "$serve_dir/wide_out.tree"
 "$build_dir/tools/popp" serve-client "$sock" health
 "$build_dir/tools/popp" serve-client "$sock" shutdown
 wait "$serve_pid"
