@@ -523,22 +523,20 @@ int CmdDecode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     err << original.status().ToString() << "\n";
     return ExitFor(original.status());
   }
-  const Status agree =
-      CheckDecodeInputs(tree.value(), plan.value(), original.value());
-  if (!agree.ok()) {
-    err << agree.ToString() << "\n";
-    return ExitFor(agree);
+  auto decoded =
+      TryDecodeTreeWithData(tree.value(), plan.value(), original.value());
+  if (!decoded.ok()) {
+    err << decoded.status().ToString() << "\n";
+    return ExitFor(decoded.status());
   }
-  const DecisionTree decoded =
-      DecodeTreeWithData(tree.value(), plan.value(), original.value());
-  const Status status = SaveTree(decoded, args.positional[3]);
+  const Status status = SaveTree(decoded.value(), args.positional[3]);
   if (!status.ok()) {
     err << status.ToString() << "\n";
     return ExitFor(status);
   }
-  out << "decoded tree (" << decoded.NumLeaves() << " leaves) -> "
+  out << "decoded tree (" << decoded.value().NumLeaves() << " leaves) -> "
       << args.positional[3] << "\n"
-      << decoded.ToText(original.value().schema());
+      << decoded.value().ToText(original.value().schema());
   return 0;
 }
 

@@ -299,18 +299,16 @@ ReplyBody OpDecode(Workspace& workspace, const RequestBody& request,
   ++workspace.requests_served;
   const auto [cached, hot] = GetOrFitPlan(workspace, data.value(),
                                           options.value());
-  const Status agree =
-      CheckDecodeInputs(tree.value(), cached->plan, data.value());
-  if (!agree.ok()) return ReplyBody::Error(agree);
-  const DecisionTree decoded =
-      DecodeTreeWithData(tree.value(), cached->plan, data.value());
+  auto decoded =
+      TryDecodeTreeWithData(tree.value(), cached->plan, data.value());
+  if (!decoded.ok()) return ReplyBody::Error(decoded.status());
   if (auto late = DeadlineReply(context, "after the decode")) {
     return *late;
   }
   return ReplyBody::Ok("decoded tree (" +
-                           std::to_string(decoded.NumLeaves()) +
+                           std::to_string(decoded.value().NumLeaves()) +
                            " leaves, " + (hot ? "hot" : "cold") + " plan)",
-                       SerializeTree(decoded));
+                       SerializeTree(decoded.value()));
 }
 
 ReplyBody OpVerify(Workspace& workspace, const RequestBody& request,

@@ -28,23 +28,16 @@ NodeId DecodePure(const DecisionTree& tprime, NodeId id,
                          n.class_hist);
 }
 
-}  // namespace
-
-DecisionTree DecodeTree(const DecisionTree& tprime,
-                        const TransformPlan& plan) {
-  DecisionTree out;
-  if (tprime.empty()) return out;
-  out.SetRoot(DecodePure(tprime, tprime.root(), plan, out));
-  return out;
-}
-
-DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
-                                const TransformPlan& plan,
-                                const Dataset& original) {
+/// DecodeTreeWithData's walk. A split whose sides interleave in original
+/// space stops it with kInvalidArgument.
+Result<DecisionTree> DecodeWithData(const DecisionTree& tprime,
+                                    const TransformPlan& plan,
+                                    const Dataset& original) {
   DecisionTree out;
   if (tprime.empty()) return out;
 
   const Dataset encoded = plan.EncodeDataset(original);
+  Status error = Status::Ok();
 
   std::function<NodeId(NodeId, const std::vector<size_t>&)> walk =
       [&](NodeId id, const std::vector<size_t>& rows) -> NodeId {
@@ -81,32 +74,42 @@ DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
       const AttrValue threshold = lmax + (rmin - lmax) / 2;
       const NodeId left = walk(n.left, left_rows);
       const NodeId right = walk(n.right, right_rows);
+      if (!error.ok()) return kNoNode;
       return out.AddInternal(n.attribute, threshold, left, right,
                              n.class_hist);
     }
-    POPP_CHECK_MSG(rmax < lmin,
-                   "decode: sides interleave in original space — either the "
-                   "plan does not match the data T' was mined from, or the "
-                   "split threshold falls inside a bijective/direction-free "
-                   "piece (possible when the miner's best feasible split is "
-                   "interior to a label run, e.g. kAllBoundaries with "
-                   "min_leaf_size > 1), where no original-space threshold "
-                   "reproduces the routing");
+    if (!(rmax < lmin)) {
+      error = Status::InvalidArgument(
+          "decode: the split on attribute '" +
+          original.schema().AttributeName(n.attribute) +
+          "' leaves sides that interleave in original space: either the "
+          "key does not match the data the tree was mined from, or the "
+          "split threshold falls inside a bijective/direction-free piece "
+          "(possible when the miner's best feasible split is interior to "
+          "a label run, e.g. kAllBoundaries with min_leaf_size > 1), where "
+          "no original-space threshold reproduces the routing");
+      return kNoNode;
+    }
     // Order reversed around this threshold: T''s right side holds the
     // smaller original values, so it becomes the decoded left subtree.
     const AttrValue threshold = rmax + (lmin - rmax) / 2;
     const NodeId left = walk(n.right, right_rows);
     const NodeId right = walk(n.left, left_rows);
+    if (!error.ok()) return kNoNode;
     return out.AddInternal(n.attribute, threshold, left, right,
                            n.class_hist);
   };
 
   std::vector<size_t> rows(original.NumRows());
   for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-  out.SetRoot(walk(tprime.root(), rows));
+  const NodeId root = walk(tprime.root(), rows);
+  if (!error.ok()) return error;
+  out.SetRoot(root);
   return out;
 }
 
+/// The key has one transform per attribute of `original`, every split
+/// names one of its attributes and every leaf one of its classes.
 Status CheckDecodeInputs(const DecisionTree& tprime, const TransformPlan& plan,
                          const Dataset& original) {
   const std::string data_attributes =
@@ -133,6 +136,31 @@ Status CheckDecodeInputs(const DecisionTree& tprime, const TransformPlan& plan,
     }
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+DecisionTree DecodeTree(const DecisionTree& tprime,
+                        const TransformPlan& plan) {
+  DecisionTree out;
+  if (tprime.empty()) return out;
+  out.SetRoot(DecodePure(tprime, tprime.root(), plan, out));
+  return out;
+}
+
+DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
+                                const TransformPlan& plan,
+                                const Dataset& original) {
+  Result<DecisionTree> decoded = DecodeWithData(tprime, plan, original);
+  POPP_CHECK_MSG(decoded.ok(), decoded.status().message());
+  return std::move(decoded).value();
+}
+
+Result<DecisionTree> TryDecodeTreeWithData(const DecisionTree& tprime,
+                                           const TransformPlan& plan,
+                                           const Dataset& original) {
+  POPP_RETURN_IF_ERROR(CheckDecodeInputs(tprime, plan, original));
+  return DecodeWithData(tprime, plan, original);
 }
 
 }  // namespace popp

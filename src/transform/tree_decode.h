@@ -40,13 +40,16 @@ DecisionTree DecodeTreeWithData(const DecisionTree& tprime,
                                 const TransformPlan& plan,
                                 const Dataset& original);
 
-/// Checks that the tree, key and data of a decode agree, so that outside
-/// input cannot reach DecodeTreeWithData's CHECKs: the plan has one
-/// transform per attribute of `original`, every split names one of its
-/// attributes and every leaf one of its classes. A mismatch is
-/// kInvalidArgument naming it.
-Status CheckDecodeInputs(const DecisionTree& tprime, const TransformPlan& plan,
-                         const Dataset& original);
+/// DecodeTreeWithData for a tree, key and data that arrive from outside
+/// the program (popp decode, the serve decode op). Where they disagree it
+/// returns kInvalidArgument naming the mismatch instead of reaching a
+/// CHECK: the key must have one transform per attribute of `original`,
+/// every split must name one of its attributes and every leaf one of its
+/// classes, and no split may separate interleaved original values (a tree
+/// mined from other data).
+Result<DecisionTree> TryDecodeTreeWithData(const DecisionTree& tprime,
+                                           const TransformPlan& plan,
+                                           const Dataset& original);
 
 }  // namespace popp
 

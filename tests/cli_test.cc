@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -491,6 +492,53 @@ TEST(CliBasicsTest, DecodeRefusesTreeKeyAndDataThatDisagree) {
   const CliResult ok =
       RunPopp({"decode", fits, key, data_csv, TempPath("agree_dec.tree")});
   EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
+TEST(CliBasicsTest, DecodeRefusesASplitThatInterleavesOriginalValues) {
+  // x = 0, 2, ..., 38 (class a) is one permutation piece of the key. A
+  // tree mined from other data can cut its images so that the two sides
+  // hold interleaved originals, which no original-space threshold routes.
+  std::ostringstream csv;
+  csv << "x,class\n";
+  for (int i = 0; i < 20; ++i) csv << 2 * i << ",a\n";
+  for (int i = 0; i < 20; ++i) csv << 100 + 2 * i << ",b\n";
+  const std::string data_csv = TempPath("interleave.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(data_csv, csv.str()).ok());
+  const std::string key = TempPath("interleave.key");
+  ASSERT_EQ(RunPopp({"encode", data_csv, TempPath("interleave_out.csv"), key,
+                     "--seed", "9"})
+                .code,
+            0);
+  auto plan = LoadPlan(key);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(plan.value().transform(0).piece(0).bijective);
+  // Originals in image order; cut after the first k whose originals are
+  // not the k smallest.
+  std::vector<std::pair<double, int>> by_image;
+  for (int i = 0; i < 20; ++i) {
+    by_image.push_back({plan.value().Encode(0, 2 * i), 2 * i});
+  }
+  std::sort(by_image.begin(), by_image.end());
+  size_t k = 1;
+  int left_max = by_image[0].second;
+  while (left_max == 2 * static_cast<int>(k - 1)) {
+    ASSERT_LT(k, by_image.size() - 1) << "the permutation is the identity";
+    left_max = std::max(left_max, by_image[k++].second);
+  }
+  DecisionTree tree;
+  const NodeId left = tree.AddLeaf(0);
+  const NodeId right = tree.AddLeaf(1);
+  tree.SetRoot(tree.AddInternal(
+      0, (by_image[k - 1].first + by_image[k].first) / 2, left, right));
+  const std::string tree_path = TempPath("interleave.tree");
+  ASSERT_TRUE(SaveTree(tree, tree_path).ok());
+  const CliResult r = RunPopp(
+      {"decode", tree_path, key, data_csv, TempPath("interleave_dec.tree")});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_NE(r.err.find("the split on attribute 'x' leaves sides that "
+                       "interleave in original space"),
+            std::string::npos)
+      << r.err;
 }
 
 // ------------------------------------------------------- shard-release --
