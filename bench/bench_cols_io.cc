@@ -7,9 +7,9 @@
 // ResumableCsvChunkWriter sink `popp stream-release` runs. The drained
 // rows and both releases are checksummed: the cols-fed artifacts MUST
 // match the CSV-fed ones bit-for-bit, so the benchmark doubles as an
-// equivalence check at benchmark scale. The acceptance bar for the
-// full-size run (POPP_ROWS=1000000, the 1M x 10 grid) is
-// parse_speedup >= 5x. Emits BENCH_cols.json next to the printed table.
+// equivalence check at benchmark scale. The full-size run is
+// POPP_ROWS=1000000, the 1M x 10 grid. Emits BENCH_cols.json next to the
+// printed table.
 //
 // Environment: POPP_ROWS sets the dataset size (so CI can smoke-run this
 // in seconds), POPP_TRIALS the timing repetitions (best-of), POPP_SEED
