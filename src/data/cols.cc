@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <numeric>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
+#include "data/value_index.h"
 #include "fault/file.h"
 #include "fault/mmap.h"
 #include "util/crc64.h"
@@ -76,17 +77,6 @@ double GetF64(const char* p) {
   } else {
     return std::bit_cast<double>(GetU64(p));
   }
-}
-
-/// Maps a binary64 bit pattern onto a key whose unsigned order is the
-/// IEEE-754 total order (-NaN < -inf < ... < -0 < +0 < ... < +NaN). The
-/// map is injective, so sorting by it deduplicates by *bit pattern* —
-/// dictionary encoding must keep -0.0 distinct from 0.0 and preserve NaN
-/// payloads, or a cols round trip would not be bit-identical to CSV's
-/// exact 17-digit round trip.
-uint64_t TotalOrderKey(uint64_t bits) {
-  return (bits & 0x8000000000000000ull) ? ~bits
-                                        : bits ^ 0x8000000000000000ull;
 }
 
 Status Corrupt(const std::string& message) {
@@ -195,34 +185,32 @@ std::string ColumnPayload(const std::vector<AttrValue>& values,
                           uint32_t* kind) {
   const size_t rows = values.size();
 
-  // The column's distinct bit patterns in IEEE total order — the
-  // dictionary candidate (for an F_bi-heavy attribute this is its active
-  // domain). Dictionary framing costs 8 + 8*D + rows*width bytes against
-  // rows*8 raw, and width is at least one byte, so once the distinct
-  // count D reaches ceil((7*rows - 8) / 8) the dictionary cannot win for
-  // any width; collecting distincts with that exact cut-off lets a
+  // The column's distinct bit patterns — the dictionary candidate (for an
+  // F_bi-heavy attribute this is its active domain). Keys are total-order
+  // keys of the bits, so -0.0 stays apart from 0.0 and NaN payloads are
+  // kept, or a cols round trip would not be bit-identical to CSV's exact
+  // 17-digit round trip. Dictionary framing costs 8 + 8*D + rows*width
+  // bytes against rows*8 raw, and width is at least one byte, so once the
+  // distinct count D reaches ceil((7*rows - 8) / 8) the dictionary cannot
+  // win for any width; stopping the scan at that exact cut-off lets a
   // mostly-distinct column (every released attribute after the piecewise
-  // transform) skip the full-row sort entirely, while keeping the
-  // dict-vs-raw decision — and therefore the output bytes — identical.
+  // transform) skip the sort entirely, while keeping the dict-vs-raw
+  // decision — and therefore the output bytes — identical.
   const size_t no_win_distincts =
       rows >= 2 ? (7 * rows - 8 + 7) / 8 : rows + 1;
-  std::unordered_set<uint64_t> distinct;
-  distinct.reserve(std::min(no_win_distincts, rows));
+  ValueIndex index;
+  std::vector<uint32_t> row_slots(rows);
   bool dict_possible = true;
-  for (AttrValue v : values) {
-    distinct.insert(TotalOrderKey(std::bit_cast<uint64_t>(v)));
-    if (distinct.size() >= no_win_distincts) {
+  for (size_t r = 0; r < rows; ++r) {
+    row_slots[r] =
+        index.Insert(TotalOrderKey(std::bit_cast<uint64_t>(values[r])));
+    if (index.size() >= no_win_distincts) {
       dict_possible = false;
       break;
     }
   }
-  std::vector<uint64_t> keys;
-  if (dict_possible) {
-    keys.assign(distinct.begin(), distinct.end());
-    std::sort(keys.begin(), keys.end());
-  }
 
-  const size_t dict_size = keys.size();
+  const size_t dict_size = dict_possible ? index.size() : 0;
   const uint8_t width = WidthFor(std::max<size_t>(dict_size, 1));
   const size_t dict_bytes = 8 + dict_size * 8 + rows * width;
   const size_t raw_bytes = rows * 8;
@@ -234,16 +222,24 @@ std::string ColumnPayload(const std::vector<AttrValue>& values,
     PutU32(payload, static_cast<uint32_t>(dict_size));
     payload.push_back(static_cast<char>(width));
     payload.append(3, '\0');
-    for (uint64_t key : keys) {
+    // One sort of the distinct keys gives the dictionary order; a row's
+    // code is then its slot's rank.
+    const std::vector<uint64_t>& keys = index.keys();
+    std::vector<uint32_t> sorted(dict_size);
+    std::iota(sorted.begin(), sorted.end(), 0u);
+    std::sort(sorted.begin(), sorted.end(),
+              [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    std::vector<uint32_t> code_of_slot(dict_size);
+    for (size_t code = 0; code < dict_size; ++code) {
+      const uint64_t key = keys[sorted[code]];
       // Invert the order map to recover the exact bit pattern.
       const uint64_t bits =
           (key & 0x8000000000000000ull) ? key ^ 0x8000000000000000ull : ~key;
       PutF64(payload, std::bit_cast<double>(bits));
+      code_of_slot[sorted[code]] = static_cast<uint32_t>(code);
     }
-    for (AttrValue v : values) {
-      const uint64_t key = TotalOrderKey(std::bit_cast<uint64_t>(v));
-      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-      PutCode(payload, static_cast<uint32_t>(it - keys.begin()), width);
+    for (const uint32_t slot : row_slots) {
+      PutCode(payload, code_of_slot[slot], width);
     }
   } else {
     *kind = kKindColumnRaw;

@@ -1,7 +1,8 @@
 #include "stream/incremental_summary.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <numeric>
 #include <utility>
 
 #include "util/status.h"
@@ -9,27 +10,7 @@
 namespace popp::stream {
 namespace {
 
-/// Re-keys the zero entry `it` of `counts` as -0.0 (rare: at most once per
-/// attribute and source).
-template <typename ValueCounts>
-[[gnu::noinline]] typename ValueCounts::iterator NegativeZeroKey(
-    ValueCounts& counts, typename ValueCounts::iterator it) {
-  auto node = counts.extract(it);
-  node.key() = -0.0;
-  return counts.insert(std::move(node)).position;
-}
-
-/// The counts slot of `x`. Zero's key becomes -0.0 once any -0.0 arrives,
-/// so the summary does not depend on which zero came first (the batch
-/// AttributeSummary::FromSortedTuples makes the same choice).
-template <typename ValueCounts>
-std::vector<uint32_t>& SlotOf(ValueCounts& counts, AttrValue x) {
-  auto it = counts.try_emplace(x).first;
-  if (x == 0 && std::signbit(x) && !std::signbit(it->first)) [[unlikely]] {
-    it = NegativeZeroKey(counts, it);
-  }
-  return it->second;
-}
+constexpr uint64_t kNegativeZeroBits = 0x8000000000000000ull;
 
 }  // namespace
 
@@ -38,23 +19,68 @@ IncrementalSummary::IncrementalSummary(size_t num_attributes)
   POPP_CHECK_MSG(num_attributes > 0, "IncrementalSummary needs attributes");
 }
 
+uint32_t* IncrementalSummary::Row(AttrCounts& attr, uint64_t key) {
+  const size_t slot = attr.index.Insert(key);
+  if (attr.counts.size() < attr.index.size() * stride_) {
+    attr.counts.resize(attr.index.size() * stride_, 0);
+  }
+  return attr.counts.data() + slot * stride_;
+}
+
+uint32_t* IncrementalSummary::RowOf(AttrCounts& attr, AttrValue x) {
+  if (std::bit_cast<uint64_t>(x) == kNegativeZeroBits) [[unlikely]] {
+    attr.negative_zero = true;
+  }
+  return Row(attr, std::bit_cast<uint64_t>(x == 0 ? 0.0 : x));
+}
+
+void IncrementalSummary::Widen(size_t num_classes) {
+  if (num_classes <= stride_) return;
+  const size_t stride = std::max(num_classes, 2 * stride_);
+  for (AttrCounts& attr : attrs_) {
+    std::vector<uint32_t> wider(attr.index.size() * stride, 0);
+    for (size_t slot = 0; slot < attr.index.size(); ++slot) {
+      std::copy_n(attr.counts.data() + slot * stride_, stride_,
+                  wider.data() + slot * stride);
+    }
+    attr.counts = std::move(wider);
+  }
+  stride_ = stride;
+}
+
+AttrValue IncrementalSummary::SlotValue(const AttrCounts& attr,
+                                        uint32_t slot) {
+  const uint64_t key = attr.index.keys()[slot];
+  if (key == 0 && attr.negative_zero) return -0.0;
+  return std::bit_cast<AttrValue>(key);
+}
+
+std::vector<uint32_t> IncrementalSummary::SortedSlots(
+    const AttrCounts& attr) {
+  const std::vector<uint64_t>& keys = attr.index.keys();
+  std::vector<uint32_t> slots(keys.size());
+  std::iota(slots.begin(), slots.end(), 0u);
+  std::sort(slots.begin(), slots.end(), [&](uint32_t a, uint32_t b) {
+    return TotalOrderKey(keys[a]) < TotalOrderKey(keys[b]);
+  });
+  return slots;
+}
+
 void IncrementalSummary::Absorb(const Dataset& chunk) {
   POPP_CHECK_MSG(chunk.NumAttributes() == attrs_.size(),
                  "Absorb: attribute count mismatch");
   num_classes_ = std::max(num_classes_, chunk.NumClasses());
+  Widen(num_classes_);
+  const std::vector<ClassId>& labels = chunk.labels();
+  for (const ClassId label : labels) {
+    POPP_CHECK_MSG(label >= 0 && static_cast<size_t>(label) < num_classes_,
+                   "Absorb: bad class id " << label);
+  }
   for (size_t a = 0; a < attrs_.size(); ++a) {
-    ValueCounts& counts = attrs_[a];
+    AttrCounts& attr = attrs_[a];
     const auto& col = chunk.Column(a);
     for (size_t r = 0; r < col.size(); ++r) {
-      const ClassId label = chunk.Label(r);
-      POPP_CHECK_MSG(label >= 0 &&
-                         static_cast<size_t>(label) < num_classes_,
-                     "Absorb: bad class id " << label);
-      std::vector<uint32_t>& slot = SlotOf(counts, col[r]);
-      if (slot.size() <= static_cast<size_t>(label)) {
-        slot.resize(num_classes_, 0);
-      }
-      slot[static_cast<size_t>(label)]++;
+      RowOf(attr, col[r])[labels[r]]++;
     }
   }
   num_rows_ += chunk.NumRows();
@@ -64,49 +90,32 @@ void IncrementalSummary::Merge(const IncrementalSummary& other) {
   POPP_CHECK_MSG(other.attrs_.size() == attrs_.size(),
                  "Merge: attribute count mismatch");
   num_classes_ = std::max(num_classes_, other.num_classes_);
+  Widen(num_classes_);
   for (size_t a = 0; a < attrs_.size(); ++a) {
-    for (const auto& [value, other_counts] : other.attrs_[a]) {
-      std::vector<uint32_t>& slot = SlotOf(attrs_[a], value);
-      if (slot.size() < other_counts.size()) {
-        slot.resize(other_counts.size(), 0);
-      }
-      for (size_t c = 0; c < other_counts.size(); ++c) {
-        slot[c] += other_counts[c];
-      }
+    const AttrCounts& from = other.attrs_[a];
+    AttrCounts& into = attrs_[a];
+    into.negative_zero = into.negative_zero || from.negative_zero;
+    for (size_t slot = 0; slot < from.index.size(); ++slot) {
+      uint32_t* row = Row(into, from.index.keys()[slot]);
+      const uint32_t* add = from.counts.data() + slot * other.stride_;
+      for (size_t c = 0; c < other.num_classes_; ++c) row[c] += add[c];
     }
   }
   num_rows_ += other.num_rows_;
 }
 
-size_t IncrementalSummary::NumDistinct(size_t attr) const {
-  POPP_CHECK_MSG(attr < attrs_.size(), "bad attribute " << attr);
-  return attrs_[attr].size();
-}
-
-AttrValue IncrementalSummary::MinValue(size_t attr) const {
-  POPP_CHECK_MSG(attr < attrs_.size(), "bad attribute " << attr);
-  POPP_CHECK_MSG(!attrs_[attr].empty(), "MinValue on empty summary");
-  return attrs_[attr].begin()->first;
-}
-
-AttrValue IncrementalSummary::MaxValue(size_t attr) const {
-  POPP_CHECK_MSG(attr < attrs_.size(), "bad attribute " << attr);
-  POPP_CHECK_MSG(!attrs_[attr].empty(), "MaxValue on empty summary");
-  return attrs_[attr].rbegin()->first;
-}
-
 AttributeSummary IncrementalSummary::Summarize(size_t attr) const {
   POPP_CHECK_MSG(attr < attrs_.size(), "bad attribute " << attr);
-  const ValueCounts& counts = attrs_[attr];
+  const AttrCounts& counts = attrs_[attr];
+  const std::vector<uint32_t> slots = SortedSlots(counts);
   std::vector<AttrValue> values;
   std::vector<uint32_t> class_counts;
-  values.reserve(counts.size());
-  class_counts.reserve(counts.size() * num_classes_);
-  for (const auto& [value, per_class] : counts) {
-    values.push_back(value);
-    for (size_t c = 0; c < num_classes_; ++c) {
-      class_counts.push_back(c < per_class.size() ? per_class[c] : 0);
-    }
+  values.reserve(slots.size());
+  class_counts.reserve(slots.size() * num_classes_);
+  for (const uint32_t slot : slots) {
+    values.push_back(SlotValue(counts, slot));
+    const uint32_t* row = counts.counts.data() + slot * stride_;
+    class_counts.insert(class_counts.end(), row, row + num_classes_);
   }
   return AttributeSummary::FromDistinctCounts(
       std::move(values), std::move(class_counts), num_classes_);

@@ -2,11 +2,11 @@
 #define POPP_STREAM_INCREMENTAL_SUMMARY_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "data/dataset.h"
 #include "data/summary.h"
+#include "data/value_index.h"
 
 /// \file
 /// Incrementally maintained per-attribute active domains and distinct-value
@@ -23,6 +23,9 @@
 /// It holds because both sides compute the same pure aggregate: the
 /// per-(value, class) tuple count, which is associative and commutative
 /// under addition, rendered in sorted value order.
+///
+/// Per cell, Absorb pays one ValueIndex probe and one count increment; the
+/// distinct values are sorted only when Summarize renders them.
 
 namespace popp::shard {
 class SummaryCodec;
@@ -48,14 +51,7 @@ class IncrementalSummary {
   size_t NumClasses() const { return num_classes_; }
   size_t NumRows() const { return num_rows_; }
 
-  /// Distinct values currently tracked for `attr`.
-  size_t NumDistinct(size_t attr) const;
-
   bool empty() const { return num_rows_ == 0; }
-
-  /// Active-domain hull of `attr`; requires at least one absorbed row.
-  AttrValue MinValue(size_t attr) const;
-  AttrValue MaxValue(size_t attr) const;
 
   /// Materializes the batch-equal summary of one attribute.
   AttributeSummary Summarize(size_t attr) const;
@@ -64,15 +60,42 @@ class IncrementalSummary {
   std::vector<AttributeSummary> SummarizeAll() const;
 
  private:
-  /// Per distinct value: tuple count per class (resized as classes appear).
-  using ValueCounts = std::map<AttrValue, std::vector<uint32_t>>;
+  /// One attribute's distinct values and their per-class tuple counts.
+  struct AttrCounts {
+    /// Value bits -> slot. 0.0 and -0.0 are one value: both key as the
+    /// bits of 0.0.
+    ValueIndex index;
+    /// counts[slot * stride_ + c]: tuples with the slot's value and class c.
+    std::vector<uint32_t> counts;
+    /// Set once any -0.0 arrives: the zero slot's value is then -0.0, so
+    /// the summary does not depend on which zero came first (the batch
+    /// AttributeSummary::FromSortedTuples makes the same choice).
+    bool negative_zero = false;
+  };
 
   /// The shard codec serializes/rebuilds this state verbatim (value bit
   /// patterns and per-class counts) so a forked worker's summary survives
   /// the trip through a CRC-footered artifact unchanged.
   friend class popp::shard::SummaryCodec;
 
-  std::vector<ValueCounts> attrs_;
+  /// The counts row (stride_ entries) of the value keyed `key`, appending
+  /// a zero row if the value is new.
+  uint32_t* Row(AttrCounts& attr, uint64_t key);
+
+  /// Row() of value `x`, keyed by its bits with -0.0 keyed as 0.0; a -0.0
+  /// sets `negative_zero`.
+  uint32_t* RowOf(AttrCounts& attr, AttrValue x);
+
+  /// Grows the row stride to hold `num_classes` classes (geometrically, so
+  /// classes trickling in re-lay the counts O(log #classes) times).
+  void Widen(size_t num_classes);
+
+  /// The value of `slot` and the slots of `attr` in ascending value order.
+  static AttrValue SlotValue(const AttrCounts& attr, uint32_t slot);
+  static std::vector<uint32_t> SortedSlots(const AttrCounts& attr);
+
+  std::vector<AttrCounts> attrs_;
+  size_t stride_ = 0;  ///< >= num_classes_
   size_t num_classes_ = 0;
   size_t num_rows_ = 0;
 };

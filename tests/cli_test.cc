@@ -17,6 +17,7 @@
 #include "shard/meta_manifest.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
+#include "temp_path.h"
 #include "transform/serialize.h"
 #include "tree/compare.h"
 #include "tree/serialize.h"
@@ -37,10 +38,6 @@ CliResult RunPopp(const std::vector<std::string>& args) {
   std::ostringstream out, err;
   const int code = RunCli(args, out, err);
   return {code, out.str(), err.str()};
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/popp_cli_" + name;
 }
 
 class CliTest : public testing::Test {
@@ -750,12 +747,12 @@ TEST_F(CliTest, CorruptKeyExitsWithIntegrityCode) {
 TEST(CliBasicsTest, TruncatedKeyExitsWithIntegrityCode) {
   // A v2 key with its footer torn off is reported as truncation, not as a
   // vague parse error. (decode loads the tree first, so give it one.)
-  const std::string tree_path = testing::TempDir() + "/popp_cli_trunc.tree";
+  const std::string tree_path = TempPath("trunc.tree");
   {
     std::ofstream out(tree_path, std::ios::binary);
     out << SerializeTree(DecisionTree{});
   }
-  const std::string key = testing::TempDir() + "/popp_cli_trunc.key";
+  const std::string key = TempPath("trunc.key");
   {
     std::ofstream out(key, std::ios::binary);
     out << "popp-plan v2\nattributes 1\n";

@@ -16,6 +16,7 @@
 #include "stream/chunk_io.h"
 #include "stream/cols_io.h"
 #include "stream/streaming_custodian.h"
+#include "temp_path.h"
 #include "transform/serialize.h"
 #include "util/rng.h"
 
@@ -33,10 +34,6 @@ uint64_t Bits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 Dataset SmallDataset() {

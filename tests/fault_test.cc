@@ -11,6 +11,7 @@
 #include "fault/file.h"
 #include "stream/chunk_io.h"
 #include "stream/manifest.h"
+#include "temp_path.h"
 #include "util/crc64.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -30,10 +31,6 @@ using fault::InputFile;
 using fault::Op;
 using fault::OutputFile;
 using fault::ScopedFaultInjection;
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::string Slurp(const std::string& path) {
   auto bytes = fault::ReadFileToString(path);

@@ -15,6 +15,7 @@
 #include "resil/heartbeat.h"
 #include "resil/retry.h"
 #include "resil/supervisor.h"
+#include "temp_path.h"
 #include "util/status.h"
 
 /// \file
@@ -35,10 +36,6 @@ using resil::RetryPolicy;
 using resil::SupervisionReport;
 using resil::SupervisorOptions;
 using resil::WorkerTask;
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/popp_resil_" + name;
-}
 
 // ----------------------------------------------------------- backoff --
 

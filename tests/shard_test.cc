@@ -23,9 +23,11 @@
 #include "stream/streaming_custodian.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
+#include "temp_path.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
 #include "util/crc64.h"
+#include "util/integrity.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -59,10 +61,6 @@ using stream::IncrementalSummary;
 Dataset CovtypeLikeData(size_t rows = 240, uint64_t seed = 31) {
   Rng rng(seed);
   return MakeRandomDataset(rows, 4, 3, 50, rng);
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/popp_shard_" + name;
 }
 
 std::string Slurp(const std::string& path) {
@@ -351,6 +349,67 @@ TEST(SummaryCodecTest, ValuesTravelAsBitPatterns) {
     EXPECT_EQ(std::signbit(reloaded.ValueAt(i)),
               std::signbit(original.ValueAt(i)));
     EXPECT_EQ(reloaded.ValueAt(i), original.ValueAt(i));
+  }
+}
+
+TEST(SummaryCodecTest, BytesDoNotDependOnRowOrderOrChunking) {
+  // The summary numbers distinct values in arrival order, so Serialize
+  // must sort them: the same rows in another order and chunking give the
+  // same artifact. Forward order meets 0.0 first, reverse order -0.0; both
+  // must write the zero as -0.0.
+  const Schema schema({"a", "b"}, {"x", "y"});
+  const AttrValue specials[] = {0.0,  5e-324, -3.5,   -1e300,
+                                2.0,  -5e-324, 1.5, -0.0};
+  Rng rng(23);
+  std::vector<std::vector<AttrValue>> values;
+  std::vector<ClassId> labels;
+  for (size_t i = 0; i < 200; ++i) {
+    values.push_back({specials[i % 8], std::round(rng.Uniform(-20, 20))});
+    labels.push_back(static_cast<ClassId>(rng.Next() % 2));
+  }
+  auto serialize = [&](bool reversed, size_t chunk_rows) {
+    IncrementalSummary inc(schema.NumAttributes());
+    for (size_t begin = 0; begin < values.size(); begin += chunk_rows) {
+      Dataset chunk(schema);
+      const size_t end = std::min(values.size(), begin + chunk_rows);
+      for (size_t i = begin; i < end; ++i) {
+        const size_t row = reversed ? values.size() - 1 - i : i;
+        chunk.AddRow(values[row], labels[row]);
+      }
+      inc.Absorb(chunk);
+    }
+    ShardSummary shard;
+    shard.range = ShardRange{0, values.size()};
+    shard.class_names = schema.class_names();
+    shard.summary = std::move(inc);
+    return SummaryCodec::Serialize(shard);
+  };
+  const std::string forward = serialize(false, 7);
+  EXPECT_EQ(serialize(true, 64), forward);
+  EXPECT_NE(forward.find("value 0 8000000000000000 "), std::string::npos);
+  EXPECT_EQ(forward.find("value 0 0000000000000000 "), std::string::npos);
+  auto parsed = SummaryCodec::Parse(forward);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(SummaryCodec::Serialize(parsed.value()), forward);
+}
+
+TEST(SummaryCodecTest, DuplicateValueLinesAreDataLoss) {
+  // 0.0 and -0.0 are one value of the summary, so they duplicate each
+  // other as well as themselves.
+  const std::string head =
+      "popp-shard-summary v1\nshard 0 1\nrange 0 2\nrows 2\n"
+      "attributes 1\nclasses 1\nclass 78\nvalue 0 0000000000000000 1\n";
+  auto parse_with = [&](const std::string& bits) {
+    return SummaryCodec::Parse(
+        WithIntegrityFooter(head + "value 0 " + bits + " 1\n"));
+  };
+  EXPECT_TRUE(parse_with("3ff0000000000000").ok());
+  for (const char* bits : {"0000000000000000", "8000000000000000"}) {
+    auto parsed = parse_with(bits);
+    ASSERT_FALSE(parsed.ok()) << bits;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(parsed.status().message().find("duplicate value line"),
+              std::string::npos);
   }
 }
 
@@ -997,7 +1056,7 @@ TEST(ShardProcessTest, StatsMatchThreadMode) {
 /// A fresh directory so the sweep's directory scan sees only what the
 /// test plants there.
 std::string FreshSweepDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/popp_sweep_" + name;
+  const std::string dir = TempPath("sweep_" + name);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "stream/streaming_custodian.h"
 #include "synth/covtype_like.h"
 #include "synth/presets.h"
+#include "temp_path.h"
 #include "transform/compiled.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
@@ -41,7 +43,7 @@ Dataset CovtypeLikeData(size_t rows = 800, uint64_t seed = 31) {
 }
 
 std::string WriteTempCsv(const Dataset& d, const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TempPath(name);
   EXPECT_TRUE(WriteCsv(d, path).ok());
   return path;
 }
@@ -70,27 +72,41 @@ Batch BatchRelease(const Dataset& data, uint64_t seed) {
 
 // ------------------------------------------------- incremental summary --
 
-TEST(IncrementalSummaryTest, AbsorbEqualsBatchSummary) {
-  const Dataset data = CovtypeLikeData(500);
-  IncrementalSummary inc(data.NumAttributes());
-  DatasetChunkReader reader(&data);
-  for (;;) {
-    auto chunk = reader.NextChunk(37);
-    ASSERT_TRUE(chunk.ok());
-    if (chunk.value().NumRows() == 0) break;
-    inc.Absorb(chunk.value());
+/// About 20k distinct real values in one column (the released shape):
+/// the streamed summary's value index grows through many rehashes.
+Dataset RealValuedData() {
+  Dataset d({"u", "k"}, {"a", "b", "c"});
+  Rng rng(57);
+  for (size_t i = 0; i < 20000; ++i) {
+    d.AddRow({rng.Uniform(-1e3, 1e3), std::floor(rng.Uniform(-40, 40))},
+             static_cast<ClassId>(rng.Next() % 3));
   }
-  EXPECT_EQ(inc.NumRows(), data.NumRows());
-  for (size_t attr = 0; attr < data.NumAttributes(); ++attr) {
-    const AttributeSummary batch = AttributeSummary::FromDataset(data, attr);
-    const AttributeSummary streamed = inc.Summarize(attr);
-    ASSERT_EQ(streamed.NumDistinct(), batch.NumDistinct()) << "attr " << attr;
-    ASSERT_EQ(streamed.NumTuples(), batch.NumTuples());
-    for (size_t i = 0; i < batch.NumDistinct(); ++i) {
-      ASSERT_EQ(streamed.ValueAt(i), batch.ValueAt(i));
-      ASSERT_EQ(streamed.CountAt(i), batch.CountAt(i));
-      for (size_t c = 0; c < data.NumClasses(); ++c) {
-        ASSERT_EQ(streamed.ClassCountAt(i, c), batch.ClassCountAt(i, c));
+  return d;
+}
+
+TEST(IncrementalSummaryTest, AbsorbEqualsBatchSummary) {
+  for (const Dataset& data : {CovtypeLikeData(500), RealValuedData()}) {
+    IncrementalSummary inc(data.NumAttributes());
+    DatasetChunkReader reader(&data);
+    for (;;) {
+      auto chunk = reader.NextChunk(37);
+      ASSERT_TRUE(chunk.ok());
+      if (chunk.value().NumRows() == 0) break;
+      inc.Absorb(chunk.value());
+    }
+    EXPECT_EQ(inc.NumRows(), data.NumRows());
+    for (size_t attr = 0; attr < data.NumAttributes(); ++attr) {
+      const AttributeSummary batch = AttributeSummary::FromDataset(data, attr);
+      const AttributeSummary streamed = inc.Summarize(attr);
+      ASSERT_EQ(streamed.NumDistinct(), batch.NumDistinct())
+          << "attr " << attr;
+      ASSERT_EQ(streamed.NumTuples(), batch.NumTuples());
+      for (size_t i = 0; i < batch.NumDistinct(); ++i) {
+        ASSERT_EQ(streamed.ValueAt(i), batch.ValueAt(i));
+        ASSERT_EQ(streamed.CountAt(i), batch.CountAt(i));
+        for (size_t c = 0; c < data.NumClasses(); ++c) {
+          ASSERT_EQ(streamed.ClassCountAt(i, c), batch.ClassCountAt(i, c));
+        }
       }
     }
   }
@@ -148,7 +164,7 @@ TEST(ChunkIoTest, CsvReaderMatchesReadCsvAcrossChunkSizes) {
 
 TEST(ChunkIoTest, CsvWriterConcatenatesToOneShotBytes) {
   const Dataset data = CovtypeLikeData(150);
-  const std::string path = testing::TempDir() + "/stream_writer.csv";
+  const std::string path = TempPath("stream_writer.csv");
   ResumableCsvChunkWriter writer(path);
   DatasetChunkReader reader(&data);
   for (;;) {
@@ -178,7 +194,7 @@ TEST(ChunkIoTest, RewindRestartsFromFirstRow) {
 }
 
 TEST(ChunkIoTest, EmptyCsvReportsError) {
-  const std::string path = testing::TempDir() + "/stream_empty.csv";
+  const std::string path = TempPath("stream_empty.csv");
   std::ofstream(path, std::ios::binary).close();
   CsvChunkReader reader(path);
   auto chunk = reader.NextChunk(10);
@@ -226,7 +242,7 @@ TEST(StreamReleaseTest, FromCsvFileMatchesBatch) {
   options.chunk_rows = 53;
   options.seed = seed;
   CsvChunkReader reader(in_path);
-  const std::string out_path = testing::TempDir() + "/stream_out.csv";
+  const std::string out_path = TempPath("stream_out.csv");
   ResumableCsvChunkWriter writer(out_path);
   auto plan = StreamingCustodian::Release(reader, writer, options);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -479,8 +495,8 @@ TEST(StreamResumeTest, ResumeIsByteIdenticalAcrossChunkSizesAndKillPoints) {
     options.chunk_rows = chunk_rows;
     options.seed = 41;
     options.exec = ExecPolicy{3};
-    const std::string path = testing::TempDir() + "/resume_" +
-                             std::to_string(chunk_rows) + ".csv";
+    const std::string path =
+        TempPath("resume_" + std::to_string(chunk_rows) + ".csv");
     ASSERT_TRUE(ResumableRelease(data, options, path, false).ok());
     const std::string golden = SlurpFile(path);
     ASSERT_FALSE(golden.empty());
@@ -529,7 +545,7 @@ TEST(StreamResumeTest, LateKillReusesCompletedChunks) {
   StreamOptions options;
   options.chunk_rows = 50;
   options.seed = 41;
-  const std::string path = testing::TempDir() + "/resume_late.csv";
+  const std::string path = TempPath("resume_late.csv");
   std::remove(path.c_str());
   size_t total_ops = 0;
   {
@@ -561,7 +577,7 @@ TEST(StreamResumeTest, FingerprintMismatchFallsBackToFreshRun) {
   StreamOptions options;
   options.chunk_rows = 37;
   options.seed = 7;
-  const std::string path = testing::TempDir() + "/resume_mismatch.csv";
+  const std::string path = TempPath("resume_mismatch.csv");
   std::remove(path.c_str());
   ASSERT_TRUE(ResumableRelease(data, options, path, false).ok());
   const std::string golden_seed7 = SlurpFile(path);

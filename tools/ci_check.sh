@@ -7,7 +7,10 @@
 # DESIGN.md and EXPERIMENTS.md may cite only a BENCH_*.json that git
 # tracks, and every tracked BENCH_*.json must record its host. Stage 1
 # builds with ASan+UBSan (POPP_SANITIZE=address,undefined), runs
-# ctest, then hammers the invariant oracles — including stream_vs_batch,
+# ctest, re-runs the file-writing suites (Cli, Shard, Stream, Cols,
+# Fault, Resil) in parallel three times so a temp file two test cases
+# share fails the gate instead of flaking, then hammers the invariant
+# oracles — including stream_vs_batch,
 # the streamed-release == batch-release contract — with a bounded
 # popp_check run. Both sanitizer stages also run the release_injective
 # oracle: the batch, two-pass stream and prefix-keyed --key-in releases
@@ -88,6 +91,14 @@ cmake --build "$build_dir" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+
+echo "== file-writing suites, in parallel, three times =="
+# Every test case runs in its own process; these suites write files, so
+# two cases that share a temp name race under -j. Repeating them in
+# parallel turns such a race into a failure here instead of a flake.
+ctest --test-dir "$build_dir" --output-on-failure \
+  -R '^(Cli|Shard|Stream|Cols|Fault|Resil)' -j "$(nproc)" \
+  --repeat until-fail:3
 
 echo "== popp_check (bounded) =="
 "$build_dir/tools/popp_check" --trials 200 --seed 7 --out "$build_dir"
