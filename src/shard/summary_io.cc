@@ -123,16 +123,11 @@ std::string SummaryCodec::Serialize(const ShardSummary& shard) {
     oss << "class " << HexEncode(name) << "\n";
   }
   if (have) {
-    using stream::IncrementalSummary;
-    const IncrementalSummary& summary = *shard.summary;
-    for (size_t a = 0; a < summary.attrs_.size(); ++a) {
-      const IncrementalSummary::AttrCounts& attr = summary.attrs_[a];
-      // Ascending value order, so equal summaries give equal bytes.
-      for (const uint32_t slot : IncrementalSummary::SortedSlots(attr)) {
-        oss << "value " << a << " "
-            << BitsHex(IncrementalSummary::SlotValue(attr, slot));
-        const uint32_t* counts = attr.counts.data() + slot * summary.stride_;
-        for (size_t c = 0; c < summary.num_classes_; ++c) {
+    const stream::IncrementalSummary& summary = *shard.summary;
+    for (size_t a = 0; a < summary.NumAttributes(); ++a) {
+      for (const auto& [value, counts] : summary.SortedValues(a)) {
+        oss << "value " << a << " " << BitsHex(value);
+        for (size_t c = 0; c < summary.NumClasses(); ++c) {
           oss << " " << counts[c];
         }
         oss << "\n";
@@ -213,7 +208,6 @@ Result<ShardSummary> SummaryCodec::Parse(std::string_view text) {
   stream::IncrementalSummary summary(num_attributes);
   summary.num_classes_ = num_classes;
   summary.num_rows_ = rows;
-  summary.Widen(num_classes);
   while (cursor.Next(&line)) {
     words = SplitWords(line);
     if (words.size() != 3 + num_classes || words[0] != "value") {
@@ -225,19 +219,15 @@ Result<ShardSummary> SummaryCodec::Parse(std::string_view text) {
         !ParseBitsHex(words[2], &value)) {
       return Corrupt("malformed value line");
     }
-    // 0.0 and -0.0 share one slot, so a +0 and a -0 line are duplicates.
-    auto& counts = summary.attrs_[attr];
-    const size_t distinct = counts.index.size();
-    uint32_t* row = summary.RowOf(counts, value);
-    if (counts.index.size() == distinct) {
-      return Corrupt("duplicate value line");
-    }
+    // 0.0 and -0.0 are one value, so a +0 and a -0 line are duplicates.
+    uint32_t* counts = summary.AddValue(attr, value);
+    if (counts == nullptr) return Corrupt("duplicate value line");
     for (size_t c = 0; c < num_classes; ++c) {
       size_t n = 0;
       if (!ParseDecimalU64(words[3 + c], &n) || n > UINT32_MAX) {
         return Corrupt("malformed value count");
       }
-      row[c] = static_cast<uint32_t>(n);
+      counts[c] = static_cast<uint32_t>(n);
     }
   }
   shard.summary.emplace(std::move(summary));
@@ -265,25 +255,17 @@ stream::IncrementalSummary SummaryCodec::RemapClasses(
   POPP_CHECK_MSG(in.NumAttributes() > 0, "RemapClasses on empty summary");
   POPP_CHECK_MSG(local_to_global.size() >= in.num_classes_,
                  "RemapClasses: mapping misses local classes");
-  for (size_t c = 0; c < in.num_classes_; ++c) {
-    POPP_CHECK_MSG(local_to_global[c] < num_global_classes,
-                   "RemapClasses: mapping exceeds global dictionary");
-  }
   stream::IncrementalSummary out(in.NumAttributes());
   out.num_classes_ = num_global_classes;
   out.num_rows_ = in.num_rows_;
-  out.Widen(num_global_classes);
-  for (size_t a = 0; a < in.attrs_.size(); ++a) {
-    const auto& from = in.attrs_[a];
-    auto& into = out.attrs_[a];
-    into.index = from.index;
-    into.negative_zero = from.negative_zero;
-    into.counts.assign(from.index.size() * out.stride_, 0);
-    for (size_t slot = 0; slot < from.index.size(); ++slot) {
-      const uint32_t* counts = from.counts.data() + slot * in.stride_;
-      uint32_t* remapped = into.counts.data() + slot * out.stride_;
+  for (size_t a = 0; a < in.NumAttributes(); ++a) {
+    for (const auto& [value, counts] : in.SortedValues(a)) {
+      uint32_t* remapped = out.AddValue(a, value);
       for (size_t c = 0; c < in.num_classes_; ++c) {
-        remapped[local_to_global[c]] += counts[c];
+        const size_t g = local_to_global[c];
+        POPP_CHECK_MSG(g < num_global_classes,
+                       "RemapClasses: mapping exceeds global dictionary");
+        remapped[g] += counts[c];
       }
     }
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <utility>
 
 #include "util/status.h"
@@ -48,22 +47,23 @@ void IncrementalSummary::Widen(size_t num_classes) {
   stride_ = stride;
 }
 
-AttrValue IncrementalSummary::SlotValue(const AttrCounts& attr,
-                                        uint32_t slot) {
-  const uint64_t key = attr.index.keys()[slot];
-  if (key == 0 && attr.negative_zero) return -0.0;
-  return std::bit_cast<AttrValue>(key);
-}
-
-std::vector<uint32_t> IncrementalSummary::SortedSlots(
-    const AttrCounts& attr) {
-  const std::vector<uint64_t>& keys = attr.index.keys();
-  std::vector<uint32_t> slots(keys.size());
-  std::iota(slots.begin(), slots.end(), 0u);
-  std::sort(slots.begin(), slots.end(), [&](uint32_t a, uint32_t b) {
-    return TotalOrderKey(keys[a]) < TotalOrderKey(keys[b]);
+std::vector<std::pair<AttrValue, const uint32_t*>>
+IncrementalSummary::SortedValues(size_t attr) const {
+  const AttrCounts& counts = attrs_[attr];
+  const std::vector<uint64_t>& keys = counts.index.keys();
+  std::vector<std::pair<AttrValue, const uint32_t*>> values;
+  values.reserve(keys.size());
+  for (size_t slot = 0; slot < keys.size(); ++slot) {
+    const bool negative_zero = keys[slot] == 0 && counts.negative_zero;
+    values.emplace_back(
+        negative_zero ? -0.0 : std::bit_cast<AttrValue>(keys[slot]),
+        counts.counts.data() + slot * stride_);
+  }
+  std::sort(values.begin(), values.end(), [](const auto& a, const auto& b) {
+    return TotalOrderKey(std::bit_cast<uint64_t>(a.first)) <
+           TotalOrderKey(std::bit_cast<uint64_t>(b.first));
   });
-  return slots;
+  return values;
 }
 
 void IncrementalSummary::Absorb(const Dataset& chunk) {
@@ -104,18 +104,24 @@ void IncrementalSummary::Merge(const IncrementalSummary& other) {
   num_rows_ += other.num_rows_;
 }
 
+uint32_t* IncrementalSummary::AddValue(size_t attr, AttrValue value) {
+  Widen(num_classes_);
+  AttrCounts& counts = attrs_[attr];
+  const size_t distinct = counts.index.size();
+  uint32_t* row = RowOf(counts, value);
+  return counts.index.size() > distinct ? row : nullptr;
+}
+
 AttributeSummary IncrementalSummary::Summarize(size_t attr) const {
   POPP_CHECK_MSG(attr < attrs_.size(), "bad attribute " << attr);
-  const AttrCounts& counts = attrs_[attr];
-  const std::vector<uint32_t> slots = SortedSlots(counts);
+  const auto sorted = SortedValues(attr);
   std::vector<AttrValue> values;
   std::vector<uint32_t> class_counts;
-  values.reserve(slots.size());
-  class_counts.reserve(slots.size() * num_classes_);
-  for (const uint32_t slot : slots) {
-    values.push_back(SlotValue(counts, slot));
-    const uint32_t* row = counts.counts.data() + slot * stride_;
-    class_counts.insert(class_counts.end(), row, row + num_classes_);
+  values.reserve(sorted.size());
+  class_counts.reserve(sorted.size() * num_classes_);
+  for (const auto& [value, counts] : sorted) {
+    values.push_back(value);
+    class_counts.insert(class_counts.end(), counts, counts + num_classes_);
   }
   return AttributeSummary::FromDistinctCounts(
       std::move(values), std::move(class_counts), num_classes_);

@@ -2,6 +2,7 @@
 #define POPP_STREAM_INCREMENTAL_SUMMARY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -60,6 +61,22 @@ class IncrementalSummary {
   std::vector<AttributeSummary> SummarizeAll() const;
 
  private:
+  /// The shard codec serializes and rebuilds this state through
+  /// SortedValues and AddValue (value bit patterns and per-class counts),
+  /// so a forked worker's summary survives the trip through a CRC-footered
+  /// artifact unchanged.
+  friend class popp::shard::SummaryCodec;
+
+  /// The distinct values of `attr` in ascending order, each with its
+  /// NumClasses() per-class tuple counts (valid until the next change).
+  std::vector<std::pair<AttrValue, const uint32_t*>> SortedValues(
+      size_t attr) const;
+
+  /// Adds `value` to `attr` with zero counts and returns its counts row
+  /// (NumClasses() entries), or nullptr if `attr` already holds the value
+  /// (0.0 and -0.0 being one value).
+  uint32_t* AddValue(size_t attr, AttrValue value);
+
   /// One attribute's distinct values and their per-class tuple counts.
   struct AttrCounts {
     /// Value bits -> slot. 0.0 and -0.0 are one value: both key as the
@@ -73,11 +90,6 @@ class IncrementalSummary {
     bool negative_zero = false;
   };
 
-  /// The shard codec serializes/rebuilds this state verbatim (value bit
-  /// patterns and per-class counts) so a forked worker's summary survives
-  /// the trip through a CRC-footered artifact unchanged.
-  friend class popp::shard::SummaryCodec;
-
   /// The counts row (stride_ entries) of the value keyed `key`, appending
   /// a zero row if the value is new.
   uint32_t* Row(AttrCounts& attr, uint64_t key);
@@ -89,10 +101,6 @@ class IncrementalSummary {
   /// Grows the row stride to hold `num_classes` classes (geometrically, so
   /// classes trickling in re-lay the counts O(log #classes) times).
   void Widen(size_t num_classes);
-
-  /// The value of `slot` and the slots of `attr` in ascending value order.
-  static AttrValue SlotValue(const AttrCounts& attr, uint32_t slot);
-  static std::vector<uint32_t> SortedSlots(const AttrCounts& attr);
 
   std::vector<AttrCounts> attrs_;
   size_t stride_ = 0;  ///< >= num_classes_
