@@ -44,7 +44,6 @@ class ValueIndex {
   }
 
   size_t size() const { return keys_.size(); }
-  bool empty() const { return keys_.empty(); }
 
   /// Keys in slot order: keys()[s] is the key that slot s was handed to.
   const std::vector<uint64_t>& keys() const { return keys_; }

@@ -18,7 +18,7 @@ IncrementalSummary::IncrementalSummary(size_t num_attributes)
   POPP_CHECK_MSG(num_attributes > 0, "IncrementalSummary needs attributes");
 }
 
-uint32_t* IncrementalSummary::Row(AttrCounts& attr, uint64_t key) {
+uint32_t* IncrementalSummary::KeyRow(AttrCounts& attr, uint64_t key) {
   const size_t slot = attr.index.Insert(key);
   if (attr.counts.size() < attr.index.size() * stride_) {
     attr.counts.resize(attr.index.size() * stride_, 0);
@@ -26,11 +26,11 @@ uint32_t* IncrementalSummary::Row(AttrCounts& attr, uint64_t key) {
   return attr.counts.data() + slot * stride_;
 }
 
-uint32_t* IncrementalSummary::RowOf(AttrCounts& attr, AttrValue x) {
+uint32_t* IncrementalSummary::ValueRow(AttrCounts& attr, AttrValue x) {
   if (std::bit_cast<uint64_t>(x) == kNegativeZeroBits) [[unlikely]] {
     attr.negative_zero = true;
   }
-  return Row(attr, std::bit_cast<uint64_t>(x == 0 ? 0.0 : x));
+  return KeyRow(attr, std::bit_cast<uint64_t>(x == 0 ? 0.0 : x));
 }
 
 void IncrementalSummary::Widen(size_t num_classes) {
@@ -80,7 +80,7 @@ void IncrementalSummary::Absorb(const Dataset& chunk) {
     AttrCounts& attr = attrs_[a];
     const auto& col = chunk.Column(a);
     for (size_t r = 0; r < col.size(); ++r) {
-      RowOf(attr, col[r])[labels[r]]++;
+      ValueRow(attr, col[r])[labels[r]]++;
     }
   }
   num_rows_ += chunk.NumRows();
@@ -96,7 +96,7 @@ void IncrementalSummary::Merge(const IncrementalSummary& other) {
     AttrCounts& into = attrs_[a];
     into.negative_zero = into.negative_zero || from.negative_zero;
     for (size_t slot = 0; slot < from.index.size(); ++slot) {
-      uint32_t* row = Row(into, from.index.keys()[slot]);
+      uint32_t* row = KeyRow(into, from.index.keys()[slot]);
       const uint32_t* add = from.counts.data() + slot * other.stride_;
       for (size_t c = 0; c < other.num_classes_; ++c) row[c] += add[c];
     }
@@ -108,7 +108,7 @@ uint32_t* IncrementalSummary::AddValue(size_t attr, AttrValue value) {
   Widen(num_classes_);
   AttrCounts& counts = attrs_[attr];
   const size_t distinct = counts.index.size();
-  uint32_t* row = RowOf(counts, value);
+  uint32_t* row = ValueRow(counts, value);
   return counts.index.size() > distinct ? row : nullptr;
 }
 

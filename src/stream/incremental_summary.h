@@ -92,11 +92,11 @@ class IncrementalSummary {
 
   /// The counts row (stride_ entries) of the value keyed `key`, appending
   /// a zero row if the value is new.
-  uint32_t* Row(AttrCounts& attr, uint64_t key);
+  uint32_t* KeyRow(AttrCounts& attr, uint64_t key);
 
-  /// Row() of value `x`, keyed by its bits with -0.0 keyed as 0.0; a -0.0
+  /// KeyRow() of value `x`, keyed by its bits with -0.0 keyed as 0.0; a -0.0
   /// sets `negative_zero`.
-  uint32_t* RowOf(AttrCounts& attr, AttrValue x);
+  uint32_t* ValueRow(AttrCounts& attr, AttrValue x);
 
   /// Grows the row stride to hold `num_classes` classes (geometrically, so
   /// classes trickling in re-lay the counts O(log #classes) times).

@@ -29,7 +29,7 @@ void ExpectDenseSlots(const std::vector<uint64_t>& keys) {
 
 TEST(ValueIndexTest, SlotsAreDenseInInsertionOrder) {
   ValueIndex index;
-  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.Insert(42), 0u);
   EXPECT_EQ(index.Insert(7), 1u);
   EXPECT_EQ(index.Insert(42), 0u);
