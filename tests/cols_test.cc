@@ -102,6 +102,27 @@ TEST(ColsRoundTrip, AdversarialValuesRoundTripBitExact) {
   EXPECT_NE(Bits(back.value().Value(3, 0)), Bits(back.value().Value(4, 0)));
 }
 
+TEST(ColsRoundTrip, DictionaryCodesFollowValueOrderNotArrivalOrder) {
+  // The writer meets a column's values out of order (and -0.0 apart from
+  // 0.0); every row's code must still name its own value in the sorted
+  // dictionary.
+  const std::vector<double> values = {7.5, -2.0, 0.0, 1e9, -0.0, 3.0};
+  Dataset d({"x"}, {"a"});
+  for (size_t i = 0; i < 60; ++i) {
+    d.AddRow({values[(i * 5) % values.size()]}, 0);
+  }
+  const std::string bytes = SerializeCols(d);
+  auto view = ColsView::Open(bytes);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view.value().is_dict(0));
+  auto back = ParseCols(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  for (size_t r = 0; r < d.NumRows(); ++r) {
+    EXPECT_EQ(Bits(back.value().Value(r, 0)), Bits(d.Value(r, 0)))
+        << "row " << r;
+  }
+}
+
 TEST(ColsRoundTrip, ZeroRowDatasetKeepsTheSchema) {
   Dataset d({"x", "y", "z"}, {"only"});
   auto back = ParseCols(SerializeCols(d));
