@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <utility>
 
 #include "util/status.h"
 
 namespace popp::stream {
-namespace {
-
-constexpr uint64_t kNegativeZeroBits = 0x8000000000000000ull;
-
-}  // namespace
 
 IncrementalSummary::IncrementalSummary(size_t num_attributes)
     : attrs_(num_attributes) {
@@ -27,9 +23,7 @@ uint32_t* IncrementalSummary::KeyRow(AttrCounts& attr, uint64_t key) {
 }
 
 uint32_t* IncrementalSummary::ValueRow(AttrCounts& attr, AttrValue x) {
-  if (std::bit_cast<uint64_t>(x) == kNegativeZeroBits) [[unlikely]] {
-    attr.negative_zero = true;
-  }
+  if (x == 0 && std::signbit(x)) [[unlikely]] attr.negative_zero = true;
   return KeyRow(attr, std::bit_cast<uint64_t>(x == 0 ? 0.0 : x));
 }
 
