@@ -358,8 +358,8 @@ TEST(SummaryCodecTest, BytesDoNotDependOnRowOrderOrChunking) {
   // same artifact. Forward order meets 0.0 first, reverse order -0.0; both
   // must write the zero as -0.0.
   const Schema schema({"a", "b"}, {"x", "y"});
-  const AttrValue specials[] = {0.0,  5e-324, -3.5,   -1e300,
-                                2.0,  -5e-324, 1.5, -0.0};
+  const AttrValue specials[] = {0.0, 5e-324,  -3.5, -1e300,
+                                2.0, -5e-324, 1.5,  -0.0};
   Rng rng(23);
   std::vector<std::vector<AttrValue>> values;
   std::vector<ClassId> labels;
