@@ -274,6 +274,47 @@ Result<bool> CsvRecordParser::Next(CsvRecord* record) {
   return EndOfLine(record);
 }
 
+Result<size_t> CsvRecordParser::SkipRecords(size_t max_records) {
+  // A delimiter that is a quote or a line-end byte changes where records
+  // end, so those dialects take Next for every record.
+  const bool lines_are_records =
+      delim_ != '"' && delim_ != '\n' && delim_ != '\r';
+  const char* const p = buf_.data();
+  const size_t n = buf_.size();
+  auto find = [&](size_t from, char c) -> size_t {
+    const void* at = std::memchr(p + from, c, n - from);
+    return at == nullptr ? n
+                         : static_cast<size_t>(static_cast<const char*>(at) - p);
+  };
+  // The first '"' at or after read_ (n if none), searched again only once
+  // read_ has passed it.
+  size_t quote = find(read_, '"');
+  CsvRecord record;
+  size_t skipped = 0;
+  while (skipped < max_records) {
+    if (lines_are_records && state_ == State::kRecordStart && !cr_pending_) {
+      if (quote < read_) quote = find(read_, '"');
+      const size_t newline = find(read_, '\n');
+      if (newline < quote) {
+        // A whole line with no quote: as EndOfLine would see it.
+        const size_t size = newline - read_;
+        const bool blank = size == 0 || (size == 1 && p[read_] == '\r');
+        read_ = newline + 1;
+        ++line_;
+        record_line_ = line_;
+        start_ = field_start_ = write_ = read_;
+        if (!blank) ++skipped;
+        continue;
+      }
+    }
+    auto got = Next(&record);
+    if (!got.ok()) return got.status();
+    if (!got.value()) break;
+    ++skipped;
+  }
+  return skipped;
+}
+
 // ------------------------------------------------------------------------
 // CsvDatasetBuilder
 

@@ -76,6 +76,16 @@ class CsvRecordParser {
   /// error.
   Result<bool> Next(CsvRecord* record);
 
+  /// Passes up to `max_records` records without building them and returns
+  /// how many it passed; fewer than asked means Feed more, or, after
+  /// Finish, the input is exhausted. Record boundaries, line numbers and
+  /// the unterminated-quote error are exactly Next's. At a record start
+  /// with no '\r' withheld, a line holding no '"' is judged alone with one
+  /// memchr: blank if it holds nothing or a lone '\r', else one record.
+  /// Every other record (one already begun, a line with a quote, a
+  /// delimiter that is '"', '\n' or '\r') goes through Next.
+  Result<size_t> SkipRecords(size_t max_records);
+
  private:
   enum class State {
     kRecordStart,  ///< before the first byte of a record

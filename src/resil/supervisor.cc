@@ -72,28 +72,32 @@ std::string JoinHistory(const std::vector<std::string>& history) {
 }
 
 /// Records one failed attempt and either schedules a restart or settles
-/// the task with its quarantine diagnostic.
+/// the task: at once on invalid input, which every attempt would meet
+/// again, otherwise with its quarantine diagnostic once the restarts are
+/// spent.
 void HandleFailure(const SupervisorOptions& options, TaskRuntime& rt,
                    const Status& failure, SupervisionReport* report) {
   std::ostringstream entry;
   entry << "attempt " << rt.attempt << ": " << failure.ToString();
   rt.history.push_back(entry.str());
-  if (rt.attempt < options.max_restarts) {
+  const bool bad_input = failure.code() == StatusCode::kInvalidArgument;
+  if (!bad_input && rt.attempt < options.max_restarts) {
     rt.state = TaskState::kBackoff;
     rt.restart_at = Clock::now() + std::chrono::milliseconds(
                                        rt.policy.DelayMs(rt.attempt));
     return;
   }
   rt.state = TaskState::kDone;
-  if (report != nullptr) ++report->quarantined;
+  if (!bad_input && report != nullptr) ++report->quarantined;
   if (rt.history.size() == 1) {
-    // No restart budget: surface the lone failure verbatim.
+    // A lone failure (bad input, or no restart budget) surfaces verbatim.
     rt.final_status = failure;
     return;
   }
   std::ostringstream oss;
-  oss << rt.task->name << " quarantined after " << rt.history.size()
-      << " failed attempts (" << JoinHistory(rt.history) << ")";
+  oss << rt.task->name << (bad_input ? " failed" : " quarantined")
+      << " after " << rt.history.size() << " failed attempts ("
+      << JoinHistory(rt.history) << ")";
   rt.final_status = Status(failure.code(), oss.str());
 }
 

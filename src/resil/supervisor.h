@@ -23,6 +23,12 @@
 /// exhausted, at which point the task is quarantined and the run fails
 /// with a diagnostic naming the task and its complete failure history.
 ///
+/// One failure is final at once: an exit the decoder maps to
+/// kInvalidArgument (the CLI taxonomy's exit 2, invalid input). A worker
+/// that rejects its input rejects it again on every attempt, so it is
+/// neither restarted nor counted as quarantined; the run fails with that
+/// status (with the earlier attempts' history, if there were any).
+///
 /// The contract the shard pipeline relies on: `run(attempt)` is invoked in
 /// the child with the 0-based attempt number, so a restarted encode worker
 /// can switch itself into journal-resume mode and only redo missing
@@ -39,6 +45,7 @@ struct SupervisorOptions {
   /// never killed.
   uint64_t worker_deadline_ms = 30000;
   /// Restarts per task after the initial attempt; 0 means fail fast.
+  /// Invalid-input failures are never restarted.
   size_t max_restarts = 2;
   /// Backoff between a failed attempt and its restart.
   BackoffOptions backoff{};

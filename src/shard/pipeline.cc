@@ -211,10 +211,11 @@ using ShardBody = std::function<Status(size_t shard, size_t attempt,
 /// Process mode forks one child per shard under the resil watchdog. Each
 /// child appends heartbeats to `<out>.shard<k>.hb`; a child silent past
 /// `worker_deadline_ms` is killed, and any failed attempt (crash, non-zero
-/// exit, watchdog kill) is restarted with deterministic backoff. After
-/// `max_worker_restarts` the shard is quarantined and the release fails
-/// with the shard's full failure history. A child's Status travels back as
-/// its exit code.
+/// exit, watchdog kill) is restarted with deterministic backoff, except
+/// one that rejected its input (exit 2), which fails the release at once.
+/// After `max_worker_restarts` the shard is quarantined and the release
+/// fails with the shard's full failure history. A child's Status travels
+/// back as its exit code.
 Status RunShardWorkers(const ShardOptions& options,
                        const std::string& out_path, const char* phase,
                        const ShardBody& body, ShardStats* stats) {
@@ -271,9 +272,11 @@ size_t ShardRows(const ShardSummary& shard) {
 }
 
 /// Builds the global class dictionary (union of the shard dictionaries in
-/// shard order, preserving each shard's local order — which reproduces the
-/// stream's global first-appearance order) and remaps every shard summary
-/// into it. Returns the remapped summaries aligned with `shards`.
+/// shard order, preserving each shard's local first-appearance order) and
+/// remaps every shard summary into it. The union is the stream's order: a
+/// class new to shard k first appears in the file inside shard k, so it
+/// enters the union after every class of earlier shards and in the order
+/// shard k met it. Returns the remapped summaries aligned with `shards`.
 Result<std::vector<std::optional<IncrementalSummary>>> RemapToGlobalClasses(
     const std::vector<ShardSummary>& shards,
     std::vector<std::string>* global_names) {
@@ -612,15 +615,20 @@ Result<TransformPlan> ShardedCustodian::Release(const std::string& input_path,
   meta.fingerprint =
       stream::StreamFingerprint(plan, WorkerStreamOptions(options, options.exec));
   meta.plan_crc = Crc64(SerializePlan(plan));
-  for (size_t k = 0; k < options.num_shards; ++k) {
-    ShardEntry entry;
+  // The shard files are hashed on up to one thread each; the entries, and
+  // the first failure, are taken in shard order.
+  meta.shards.resize(options.num_shards);
+  std::vector<Status> hashed(options.num_shards);
+  ParallelFor(options.exec, options.num_shards, [&](size_t k) {
+    ShardEntry& entry = meta.shards[k];
     entry.index = k;
     entry.rows = ShardRows(summaries[k]);
     entry.file = ShardFilePath(out_path, k);
-    POPP_RETURN_IF_ERROR(
-        HashShardFile(entry.file, &entry.bytes, &entry.crc));
-    if (stats != nullptr) stats->released_bytes += entry.bytes;
-    meta.shards.push_back(std::move(entry));
+    hashed[k] = HashShardFile(entry.file, &entry.bytes, &entry.crc);
+  });
+  for (size_t k = 0; k < options.num_shards; ++k) {
+    POPP_RETURN_IF_ERROR(hashed[k]);
+    if (stats != nullptr) stats->released_bytes += meta.shards[k].bytes;
   }
   POPP_RETURN_IF_ERROR(SaveMetaManifest(meta, out_path));
   // Only now that the release is durable do the shard journals retire; a

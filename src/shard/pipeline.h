@@ -62,9 +62,9 @@ struct ShardOptions {
   /// 0 disables the watchdog.
   uint64_t worker_deadline_ms = 30000;
   /// Restarts per worker after its first failed attempt (crash, non-zero
-  /// exit, or watchdog kill) before the shard is quarantined. A restarted
-  /// encode worker resumes from its journal and only redoes missing
-  /// chunks.
+  /// exit, or watchdog kill) before the shard is quarantined. A worker
+  /// that rejects its input (exit 2) is not restarted. A restarted encode
+  /// worker resumes from its journal and only redoes missing chunks.
   size_t max_worker_restarts = 2;
 };
 
@@ -80,7 +80,9 @@ struct ShardStats {
   size_t worker_restarts = 0;   ///< failed worker attempts that were retried
   size_t swept_files = 0;       ///< orphaned working files removed at start
 
-  double count_seconds = 0;      ///< row-count pass (0 for 1 shard / cols)
+  /// Row-count pass: a CSV record scan, or opening and validating a
+  /// popp-cols file. 0 for 1 shard, which needs no count.
+  double count_seconds = 0;
   double summarize_seconds = 0;  ///< phase 1 wall time
   double merge_fit_seconds = 0;  ///< merge tree + plan fit
   double encode_seconds = 0;     ///< phase 2 wall time

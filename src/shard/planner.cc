@@ -25,7 +25,7 @@ Result<size_t> CountRows(const std::string& path,
   auto reader = stream::MakeChunkReader(path, format, options);
   if (!reader.ok()) return reader.status();
   // SkipRows is the counting primitive: the cols backend answers from its
-  // validated header in O(1); CSV drains one parse pass in bounded memory.
+  // validated header in O(1); CSV scans its records in bounded memory.
   return reader.value()->SkipRows(std::numeric_limits<size_t>::max());
 }
 

@@ -43,16 +43,19 @@ struct ShardRange {
 std::vector<ShardRange> SplitRows(size_t total_rows, size_t num_shards);
 
 /// Counts the data rows of a dataset file without materializing it: O(1)
-/// header arithmetic for popp-cols, one bounded-memory parse pass for CSV.
+/// header arithmetic for popp-cols; for CSV one bounded-memory record scan
+/// (ChunkReader::SkipRows), which finds record boundaries but parses no
+/// cell, so a malformed row is reported by the shard that owns it.
 Result<size_t> CountRows(const std::string& path,
                          stream::DatasetFormat format = stream::DatasetFormat::kAuto,
                          CsvOptions options = {});
 
 /// Bounded view over an owned inner reader: yields exactly the rows of
-/// `range`. Positioning uses ChunkReader::SkipRows, so a CSV prefix is
-/// drained (keeping the worker's append-only class dictionary identical to
-/// the single-process stream's by the same row) while popp-cols seeks in
-/// O(1). Rewind repositions from the top (the two-pass fit re-reads).
+/// `range`. Positioning uses ChunkReader::SkipRows: a record scan over a
+/// CSV prefix, an O(1) seek in popp-cols. The class dictionary then holds
+/// the range's labels in their order of first appearance, not the whole
+/// stream's; the coordinator's merge maps them to global ids. Rewind
+/// repositions from the top (the two-pass fit re-reads).
 class RangeChunkReader : public stream::ChunkReader {
  public:
   RangeChunkReader(std::unique_ptr<stream::ChunkReader> inner,

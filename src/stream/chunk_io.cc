@@ -53,20 +53,52 @@ Result<Dataset> CsvChunkReader::NextChunk(size_t max_rows) {
       continue;
     }
     if (eof_) break;
-    auto read = in_.Read(buffer_.data(), buffer_.size());
-    if (!read.ok()) return read.status();
-    if (read.value() > 0) {
-      parser_->Feed(buffer_.data(), read.value());
-    } else {
-      eof_ = true;
-      parser_->Finish();
-    }
+    POPP_RETURN_IF_ERROR(ReadWindow());
   }
   if (eof_ && builder_->PendingRows() == 0) {
     // End of stream; surfaces "empty CSV input" on a schema-less file.
     POPP_RETURN_IF_ERROR(builder_->Finish());
   }
   return builder_->TakeChunk();
+}
+
+Result<size_t> CsvChunkReader::SkipRows(size_t rows) {
+  if (rows == 0) return size_t{0};
+  POPP_RETURN_IF_ERROR(EnsureOpen());
+  size_t skipped = 0;
+  while (!builder_->have_schema()) {
+    auto got = parser_->Next(&record_);
+    if (!got.ok()) return got.status();
+    if (got.value()) {
+      POPP_RETURN_IF_ERROR(builder_->Consume(record_));
+      // Without a header the first record is a row: it counts as skipped.
+      skipped += builder_->PendingRows();
+      builder_->TakeChunk();
+      continue;
+    }
+    if (eof_) return builder_->Finish();  // "empty CSV input"
+    POPP_RETURN_IF_ERROR(ReadWindow());
+  }
+  while (skipped < rows) {
+    auto passed = parser_->SkipRecords(rows - skipped);
+    if (!passed.ok()) return passed.status();
+    skipped += passed.value();
+    if (skipped == rows || eof_) break;
+    POPP_RETURN_IF_ERROR(ReadWindow());
+  }
+  return skipped;
+}
+
+Status CsvChunkReader::ReadWindow() {
+  auto read = in_.Read(buffer_.data(), buffer_.size());
+  if (!read.ok()) return read.status();
+  if (read.value() > 0) {
+    parser_->Feed(buffer_.data(), read.value());
+  } else {
+    eof_ = true;
+    parser_->Finish();
+  }
+  return Status::Ok();
 }
 
 Status CsvChunkReader::Rewind() {

@@ -37,12 +37,11 @@ class ChunkReader {
   virtual Status Rewind() = 0;
 
   /// Advances past the next `rows` rows (or to end of stream if fewer
-  /// remain) and returns the count actually skipped. The default drains
-  /// chunks, so for the CSV backend skipped rows still feed the
-  /// append-only class dictionary exactly as if they had been consumed —
-  /// which is what keeps a shard worker's ClassIds aligned with the
-  /// single-process stream. Random-access sources (popp-cols carries its
-  /// full dictionary up front) override this with a cursor move.
+  /// remain) and returns the count actually skipped. Skipped rows need
+  /// not reach the class dictionary, so the ClassIds of later chunks may
+  /// differ from a full read's (labels are compared by name, and the
+  /// shard merge remaps them). The default drains chunks; the CSV reader
+  /// passes records without parsing them, and popp-cols moves a cursor.
   virtual Result<size_t> SkipRows(size_t rows);
 };
 
@@ -97,9 +96,18 @@ class CsvChunkReader : public ChunkReader {
 
   Result<Dataset> NextChunk(size_t max_rows) override;
   Status Rewind() override;
+  /// Passes rows as records without parsing their cells. The file's first
+  /// record still goes through the builder: the header, or without one
+  /// the first row, which fixes the field count and counts as skipped. So
+  /// the schema, the "empty CSV input" error and line numbers are a full
+  /// read's, and a malformed skipped row is reported by whoever reads it.
+  Result<size_t> SkipRows(size_t rows) override;
 
  private:
   Status EnsureOpen();
+  /// Feeds the parser the next window of the file, or at end of file
+  /// sets eof_ and calls Finish. Callers check eof_ first.
+  Status ReadWindow();
 
   std::string path_;
   CsvOptions options_;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -464,6 +465,148 @@ TEST(CsvRecordParserDiff, GeneratedDatasetTextMatches) {
   for (size_t window : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
     ExpectSameRecords(text, ',', rng, window);
   }
+}
+
+/// Skips `k` records of `text` with SkipRecords, feeding windows of random
+/// sizes, then pulls the next record with Next: what the skip passed, the
+/// record after it, and the first error either call reported.
+struct SkippedThenNext {
+  size_t skipped = 0;
+  std::optional<ReferenceTokenizer::Record> next;
+  std::string error;
+};
+
+SkippedThenNext SkipInWindows(const std::string& text, char delim, size_t k,
+                              std::mt19937_64& rng, size_t max_window) {
+  SkippedThenNext out;
+  CsvRecordParser parser(delim);
+  size_t pos = 0;
+  bool finished = false;
+  auto feed = [&] {
+    if (pos == text.size()) {
+      parser.Finish();
+      finished = true;
+      return;
+    }
+    const size_t take = std::min(text.size() - pos, 1 + rng() % max_window);
+    parser.Feed(text.data() + pos, take);
+    pos += take;
+  };
+  for (;;) {
+    auto passed = parser.SkipRecords(k - out.skipped);
+    if (!passed.ok()) {
+      out.error = passed.status().ToString();
+      return out;
+    }
+    out.skipped += passed.value();
+    if (out.skipped == k || finished) break;
+    feed();
+  }
+  CsvRecord record;
+  for (;;) {
+    auto got = parser.Next(&record);
+    if (!got.ok()) {
+      out.error = got.status().ToString();
+      return out;
+    }
+    if (got.value()) {
+      ReferenceTokenizer::Record copy;
+      for (std::string_view field : record.fields) {
+        copy.fields.emplace_back(field);
+      }
+      copy.line = record.line;
+      out.next = std::move(copy);
+      return out;
+    }
+    if (finished) return out;
+    feed();
+  }
+}
+
+/// For every k up to two past the record count: skipping k records and
+/// then calling Next yields the reference's record k with its line, a
+/// skip past the end reports the short count, and an unterminated quote
+/// gives Next's error wherever the scan meets it.
+void ExpectSkipMatchesNext(const std::string& text, char delim,
+                           std::mt19937_64& rng, size_t max_window) {
+  ReferenceTokenizer reference(delim);
+  reference.Feed(text);
+  const bool reference_ok = reference.Finish();
+  const std::string quote_error =
+      "INVALID_ARGUMENT: line " + std::to_string(reference.record_line()) +
+      ": unterminated quoted field at end of input";
+  const size_t records = reference.records.size();
+  for (size_t k = 0; k <= records + 2; ++k) {
+    const SkippedThenNext got = SkipInWindows(text, delim, k, rng, max_window);
+    const std::string where =
+        "k=" + std::to_string(k) + " delim=" + std::to_string(delim) +
+        " input: " + text;
+    if (k < records) {
+      ASSERT_EQ(got.error, "") << where;
+      ASSERT_EQ(got.skipped, k) << where;
+      ASSERT_TRUE(got.next.has_value()) << where;
+      ASSERT_EQ(got.next->fields, reference.records[k].fields) << where;
+      ASSERT_EQ(got.next->line, reference.records[k].line) << where;
+    } else if (reference_ok) {
+      ASSERT_EQ(got.error, "") << where;
+      ASSERT_EQ(got.skipped, records) << where;
+      ASSERT_FALSE(got.next.has_value()) << where;
+    } else {
+      ASSERT_EQ(got.error, quote_error) << where;
+      ASSERT_FALSE(got.next.has_value()) << where;
+    }
+  }
+}
+
+TEST(CsvRecordParserDiff, SkipRecordsMatchesNextOnRandomInputs) {
+  // The random texts of the Next test, and texts with fewer quotes, so
+  // that many lines take the quote-free path: every delimiter the Next
+  // test uses, the ones that are '"', '\n' or '\r' included.
+  const std::string alphabets[] = {"ab1,,\"\"\n\r;", "ab1,,,;\n\n\r\""};
+  std::mt19937_64 rng(20071015);
+  for (int i = 0; i < 12000; ++i) {
+    const std::string& alphabet = alphabets[i % 2];
+    std::string text(rng() % 24, ' ');
+    for (char& c : text) c = alphabet[rng() % alphabet.size()];
+    const char delim = ",,,,;a\"\n\r"[i % 9];
+    ExpectSkipMatchesNext(text, delim, rng, 1 + rng() % 6);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(CsvRecordParserDiff, SkipRecordsAcrossManySeams) {
+  std::mt19937_64 rng(5);
+  const std::string text =
+      "a,\"b,c\",d\r\n\"x\"\"y\"\"\",2,\"multi\nline\"\n\n\r\n"
+      "\"\"\"\",lone\rcr,\"q\"tail\n1,2,3";
+  for (size_t window = 1; window <= text.size(); ++window) {
+    ExpectSkipMatchesNext(text, ',', rng, window);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(CsvRecordParser, SkipRecordsCountsLinesAsNextDoes) {
+  // Blank lines, CRLF, a lone '\r' line and a quoted line break, then an
+  // unterminated quote: the record after the skip keeps its line number,
+  // and skipping into the open quote reports Next's error.
+  const std::string text =
+      "h,class\n\n1,a\r\n\r\n\"2\n2\",b\n\r\r\n3,c\n\"open,d\n";
+  CsvRecordParser parser;
+  parser.Feed(text.data(), text.size());
+  auto passed = parser.SkipRecords(4);
+  ASSERT_TRUE(passed.ok());
+  EXPECT_EQ(passed.value(), 4u);  // the header, 1, "2\n2" and "\r"
+  CsvRecord record;
+  ASSERT_TRUE(parser.Next(&record).value());
+  EXPECT_EQ(record.fields[0], "3");
+  EXPECT_EQ(record.line, 8u);
+  EXPECT_EQ(parser.SkipRecords(5).value(), 0u);  // awaits more input
+  parser.Finish();
+  auto open = parser.SkipRecords(5);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().ToString(),
+            "INVALID_ARGUMENT: line 9: unterminated quoted field at end of "
+            "input");
 }
 
 TEST(CsvRecordParser, RecordViewsStayValidUntilTheNextFeed) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -391,6 +392,63 @@ TEST(ResilSupervisorTest, SingleFailureWithoutRestartBudgetIsVerbatim) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "fragile worker failed (exit 4)");
   EXPECT_EQ(report.quarantined, 1u);
+}
+
+/// Decodes exit 2 as invalid input, the CLI taxonomy's exit code for it,
+/// and every other code as an I/O error.
+resil::ExitDecoder TaxonomyDecoder() {
+  return [](const WorkerTask& task, int exit_code) {
+    if (exit_code == 2) {
+      return Status::InvalidArgument(task.name + " failed (invalid input)");
+    }
+    return Status::IoError(task.name + " failed (exit " +
+                           std::to_string(exit_code) + ")");
+  };
+}
+
+/// Appends one line per attempt to `path`, from inside the forked child.
+void LogAttempt(const std::string& path, size_t attempt) {
+  std::ofstream(path, std::ios::app) << "attempt " << attempt << "\n";
+}
+
+TEST(ResilSupervisorTest, InvalidInputRunsOnceAndIsNotRestarted) {
+  // Every attempt would reject the same input, so exit 2 is final: one
+  // run, no backoff, no quarantine, the decoded status verbatim.
+  const std::string log = TempPath("attempts");
+  ::unlink(log.c_str());
+  std::vector<WorkerTask> tasks{{"picky worker", "", [&](size_t attempt) {
+    LogAttempt(log, attempt);
+    return 2;
+  }}};
+  SupervisionReport report;
+  const Status status = resil::RunSupervised(FastSupervisor(), tasks,
+                                             TaxonomyDecoder(), &report);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "picky worker failed (invalid input)");
+  EXPECT_EQ(report.worker_restarts, 0u);
+  EXPECT_EQ(report.quarantined, 0u);
+  auto runs = fault::ReadFileToString(log);
+  ASSERT_TRUE(runs.ok());
+  EXPECT_EQ(runs.value(), "attempt 0\n");
+  ::unlink(log.c_str());
+}
+
+TEST(ResilSupervisorTest, InvalidInputAfterARestartEndsWithTheHistory) {
+  // A crash is restarted; the restart's invalid input is then final, and
+  // the failure names both attempts.
+  std::vector<WorkerTask> tasks{{"late worker", "", [](size_t attempt) {
+    return attempt == 0 ? 7 : 2;
+  }}};
+  SupervisionReport report;
+  const Status status = resil::RunSupervised(FastSupervisor(), tasks,
+                                             TaxonomyDecoder(), &report);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "late worker failed after 2 failed attempts (attempt 0: "
+            "IO_ERROR: late worker failed (exit 7); attempt 1: "
+            "INVALID_ARGUMENT: late worker failed (invalid input))");
+  EXPECT_EQ(report.worker_restarts, 1u);
+  EXPECT_EQ(report.quarantined, 0u);
 }
 
 TEST(ResilSupervisorTest, WatchdogKillsASilentWorkerAndRestartsIt) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -268,10 +269,9 @@ TEST(SkipRowsTest, SkippingPastEofReportsTheShortCount) {
   EXPECT_EQ(skipped.value(), 8u);
 }
 
-TEST(SkipRowsTest, CsvSkipKeepsClassDictionaryAligned) {
-  // The drain-skip must leave the reader's append-only class dictionary
-  // exactly as if the skipped rows had been absorbed — the property the
-  // shard workers' prefix-chain remap rests on.
+TEST(SkipRowsTest, CsvSkipLandsOnTheSameRow) {
+  // A skip passes records without parsing them, so the class dictionary
+  // after it may differ from a full read's; the rows after it may not.
   const Dataset data = CovtypeLikeData(60);
   const std::string path = WriteInput(data, "skip_dict.csv", false);
   auto skipping = stream::MakeChunkReader(path, stream::DatasetFormat::kAuto,
@@ -288,8 +288,75 @@ TEST(SkipRowsTest, CsvSkipKeepsClassDictionaryAligned) {
   auto b = reading.value()->NextChunk(10);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().schema().class_names(), b.value().schema().class_names());
   EXPECT_EQ(ToCsvString(a.value()), ToCsvString(b.value()));
+}
+
+/// Opens a CSV chunk reader over `text` written to a temp file, reading
+/// `buffer_bytes` at a time.
+std::unique_ptr<stream::ChunkReader> CsvReaderOver(
+    const std::string& text, const std::string& name,
+    CsvOptions options = {}, size_t buffer_bytes = 1 << 16) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(fault::WriteFileAtomic(path, text).ok());
+  return std::make_unique<stream::CsvChunkReader>(path, options,
+                                                  buffer_bytes);
+}
+
+TEST(SkipRowsTest, CsvFirstRecordStillFixesTheSchema) {
+  // Without a header the first row fixes the field count and counts as
+  // skipped; an empty file and a bad header fail as a read does.
+  CsvOptions no_header;
+  no_header.has_header = false;
+  for (const size_t skip : {1, 2}) {
+    auto reader = CsvReaderOver("1,2,a\n3,4,b\n5,6,c\n", "skip_nohdr.csv",
+                                no_header);
+    auto skipped = reader->SkipRows(skip);
+    ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+    EXPECT_EQ(skipped.value(), skip);
+    auto chunk = reader->NextChunk(8);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    ASSERT_EQ(chunk.value().NumRows(), 3 - skip);
+    EXPECT_EQ(chunk.value().Value(0, 0), 1.0 + 2.0 * skip);
+    EXPECT_EQ(chunk.value().schema().AttributeName(1), "attr2");
+  }
+  auto header_only = CsvReaderOver("a,b,class\n", "skip_hdr_only.csv");
+  auto none = header_only->SkipRows(5);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.value(), 0u);
+  for (const std::string text : {"", "\n\r\n", "a\n1\n"}) {
+    auto skipping = CsvReaderOver(text, "skip_bad.csv");
+    auto reading = CsvReaderOver(text, "read_bad.csv");
+    auto skipped = skipping->SkipRows(3);
+    auto read = reading->NextChunk(3);
+    ASSERT_FALSE(skipped.ok()) << "'" << text << "'";
+    ASSERT_FALSE(read.ok()) << "'" << text << "'";
+    EXPECT_EQ(skipped.status().ToString(), read.status().ToString());
+  }
+}
+
+TEST(SkipRowsTest, CsvSkipPassesRowsUnparsedAndKeepsLineNumbers) {
+  // Skipped rows are not parsed, so a malformed one is left to whoever
+  // reads it; the rows read after a skip report their file lines, past
+  // blank lines, CRLF ends and quoted line breaks, at every read size.
+  const std::string text =
+      "x,y,class\r\n1,2,\"a\nb\"\n\n3,oops,c\r\n\r\n\"4\",5,\"d,\"\"e\"\n"
+      "6,7\n8,9,f\n10,x7,g\n";
+  for (const size_t buffer : {1, 2, 3, 7, 64, 1 << 16}) {
+    const std::string where = "buffer=" + std::to_string(buffer);
+    auto reader = CsvReaderOver(text, "skip_lines.csv", {}, buffer);
+    auto skipped = reader->SkipRows(4);  // one malformed cell, one short row
+    ASSERT_TRUE(skipped.ok()) << skipped.status().ToString() << where;
+    EXPECT_EQ(skipped.value(), 4u) << where;
+    auto chunk = reader->NextChunk(1);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString() << where;
+    ASSERT_EQ(chunk.value().NumRows(), 1u) << where;
+    EXPECT_EQ(chunk.value().Value(0, 0), 8.0) << where;
+    auto bad = reader->NextChunk(1);
+    ASSERT_FALSE(bad.ok()) << where;
+    EXPECT_EQ(bad.status().ToString(),
+              "INVALID_ARGUMENT: line 10: cannot parse number 'x7'")
+        << where;
+  }
 }
 
 // ------------------------------------------------------- summary codec --
@@ -691,6 +758,119 @@ TEST_F(ShardReleaseTest, IndivisibleRowCountStaysByteIdentical) {
   EXPECT_EQ(ConcatShards(out, 4), golden);
 }
 
+/// CSV text the release writer never produces: a quoted header name,
+/// quoted labels holding the delimiter, a quote, a line break and a CRLF,
+/// quoted numbers, CRLF and LF line ends mixed, blank lines, and no line
+/// end after the last row.
+std::string UnusualCsvText(size_t rows, uint64_t seed) {
+  const char* const labels[] = {"plain", "\"with, comma\"",
+                                "\"say \"\"hi\"\"\"", "\"two\nlines\"",
+                                "\"crlf\r\ninside\""};
+  Rng rng(seed);
+  std::string text = "x,\"y, quoted\",z,class\r\n";
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.Bernoulli(0.05)) text += rng.Bernoulli(0.5) ? "\n" : "\r\n";
+    const std::string x = std::to_string(rng.UniformInt(0, 40));
+    text += rng.Bernoulli(0.1) ? "\"" + x + "\"" : x;
+    text += "," + std::to_string(rng.UniformInt(-5, 5)) + "," +
+            FormatCsvCell(static_cast<double>(rng.UniformInt(0, 999)) / 8) +
+            "," + labels[rng.UniformInt(0, 4)];
+    if (r + 1 < rows) text += rng.Bernoulli(0.5) ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+TEST_F(ShardReleaseTest, UnusualCsvTextMatchesStreamRelease) {
+  // Over 64 KiB, so shard starts fall past read-window seams too.
+  const std::string input = TempPath("unusual.csv");
+  ASSERT_TRUE(
+      fault::WriteFileAtomic(input, UnusualCsvText(4000, 23)).ok());
+  std::string golden_plan;
+  const std::string golden = StreamReleaseBytes(input, 96, 4, &golden_plan);
+  ASSERT_FALSE(golden.empty());
+  for (const size_t shards : {2, 3, 5}) {
+    const std::string out = TempPath("unusual_out");
+    ShardStats stats;
+    auto plan = ShardedCustodian::Release(
+        input, out, BaseOptions(shards, 3, 96, 4), &stats);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString() << " shards=" << shards;
+    EXPECT_EQ(SerializePlan(plan.value()), golden_plan) << "shards=" << shards;
+    EXPECT_EQ(ConcatShards(out, shards), golden) << "shards=" << shards;
+    EXPECT_EQ(stats.rows, 4000u);
+  }
+}
+
+/// `text`, a CSV with a header line, with the first cell of data row `row`
+/// (1-based) replaced by `cell`.
+std::string WithFirstCell(std::string text, size_t row,
+                          const std::string& cell) {
+  size_t at = 0;
+  for (size_t line = 0; line < row; ++line) at = text.find('\n', at) + 1;
+  text.replace(at, text.find(',', at) - at, cell);
+  return text;
+}
+
+/// The status of a single-process stream release of `input`.
+Status StreamReleaseStatus(const std::string& input) {
+  auto reader =
+      stream::MakeChunkReader(input, stream::DatasetFormat::kAuto, {});
+  if (!reader.ok()) return reader.status();
+  stream::ResumableCsvChunkWriter writer(TempPath("stream_status.csv"), {},
+                                         /*resume=*/false);
+  stream::StreamOptions options;
+  options.chunk_rows = 32;
+  return stream::StreamingCustodian::Release(*reader.value(), writer, options)
+      .status();
+}
+
+TEST_F(ShardReleaseTest, BadCellsInTheLastShardNameTheStreamLineAndRow) {
+  // The row count no longer parses cells, so the shard that owns a bad
+  // row reports it, with the line or row the stream release names.
+  for (const std::string bad : {"x7", "inf"}) {
+    const std::string input = TempPath("bad_cell.csv");
+    ASSERT_TRUE(fault::WriteFileAtomic(
+                    input, WithFirstCell(ToCsvString(data_), 200, bad))
+                    .ok());  // row 200 of 220
+    const Status golden = StreamReleaseStatus(input);
+    ASSERT_EQ(golden.code(), StatusCode::kInvalidArgument) << bad;
+    for (const size_t shards : {2, 4}) {
+      auto plan = ShardedCustodian::Release(
+          input, TempPath("bad_cell_out"), BaseOptions(shards, 2, 32, 1),
+          nullptr);
+      ASSERT_FALSE(plan.ok()) << bad;
+      EXPECT_EQ(plan.status().ToString(), golden.ToString())
+          << bad << " shards=" << shards;
+    }
+  }
+}
+
+TEST_F(ShardReleaseTest, ShardsMeetingClassesInOtherOrdersFitTheStreamPlan) {
+  // 3 shards of 30 rows: shard 0 meets a before b, shard 1 meets b before
+  // a, and c appears only in shard 2. Each class owns its own value band,
+  // so a label counted under the wrong class changes the fitted plan.
+  Dataset data({"x", "y"}, {"a", "b", "c"});
+  Rng rng(5);
+  for (size_t r = 0; r < 90; ++r) {
+    ClassId label = static_cast<ClassId>(r % 2);
+    if (r >= 30 && r < 60) label = 1 - label;
+    if (r >= 60 && r % 3 == 0) label = 2;
+    data.AddRow({static_cast<AttrValue>(10 * label + rng.UniformInt(0, 6)),
+                 static_cast<AttrValue>(rng.UniformInt(0, 20))},
+                label);
+  }
+  const std::string input = WriteInput(data, "class_orders.csv", false);
+  std::string golden_plan;
+  const std::string golden = StreamReleaseBytes(input, 8, 11, &golden_plan);
+  for (const size_t threads : {1, 3}) {
+    const std::string out = TempPath("class_orders_out");
+    auto plan = ShardedCustodian::Release(
+        input, out, BaseOptions(3, threads, 8, 11), nullptr);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(SerializePlan(plan.value()), golden_plan);
+    EXPECT_EQ(ConcatShards(out, 3), golden);
+  }
+}
+
 TEST_F(ShardReleaseTest, EmptyInputIsInvalidArgument) {
   Schema schema({"a"}, {"x"});
   Dataset empty(schema);
@@ -1009,6 +1189,41 @@ TEST(ShardProcessTest, WorkerFailureSurfacesThroughExitCodes) {
   EXPECT_EQ(plan.status().code(), StatusCode::kIoError);
   EXPECT_NE(plan.status().message().find("worker"), std::string::npos)
       << plan.status().ToString();
+}
+
+TEST(ShardProcessTest, UnusualCsvTextMatchesStreamRelease) {
+  const std::string input = TempPath("proc_unusual.csv");
+  ASSERT_TRUE(
+      fault::WriteFileAtomic(input, UnusualCsvText(3000, 29)).ok());
+  std::string golden_plan;
+  const std::string golden = StreamReleaseBytes(input, 64, 2, &golden_plan);
+  const std::string out = TempPath("proc_unusual_out");
+  ShardOptions options = BaseOptions(3, 2, 64, 2);
+  options.workers_mode = shard::WorkersMode::kProcess;
+  auto plan = ShardedCustodian::Release(input, out, options, nullptr);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(SerializePlan(plan.value()), golden_plan);
+  EXPECT_EQ(ConcatShards(out, 3), golden);
+}
+
+TEST(ShardProcessTest, InvalidInputFailsOnceWithoutRestarts) {
+  // An inf cell on line 1501 of 2001 falls in shard 2 of 4. The worker
+  // rejects its input, which a restart would meet again, so it is not
+  // restarted and the release fails with the invalid-input status.
+  const Dataset data = CovtypeLikeData(2000, 97);
+  const std::string input = TempPath("proc_inf.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(
+                  input, WithFirstCell(ToCsvString(data), 1500, "inf"))
+                  .ok());
+  ShardOptions options = BaseOptions(4, 1, 128, 1);
+  options.workers_mode = shard::WorkersMode::kProcess;
+  ShardStats stats;
+  auto plan = ShardedCustodian::Release(input, TempPath("proc_inf_out"),
+                                        options, &stats);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().message(), "shard 2 worker failed (invalid input)");
+  EXPECT_EQ(stats.worker_restarts, 0u);
 }
 
 TEST(ShardProcessTest, StatsMatchThreadMode) {
