@@ -1461,6 +1461,27 @@ OracleResult CheckServeVsCli(const Dataset& original, uint64_t plan_seed,
     }
   }
 
+  // A third tenant's first request is popp-cols framed: the cold path
+  // materializes the rows for the fit, then must release the same bytes
+  // as every warm popp-cols request above.
+  {
+    serve::RequestBody request;
+    request.options = options_text(1);
+    request.dataset = cols_bytes;
+    auto reply = client.Call(serve::Tag::kEncode, "oracle-c", request);
+    if (!reply.ok() || !reply.value().ok()) {
+      return OracleResult::Fail("cold popp-cols encode failed");
+    }
+    if (reply.value().text.find("cold plan") == std::string::npos) {
+      return OracleResult::Fail(
+          "a fresh tenant's popp-cols encode did not fit a cold plan");
+    }
+    if (reply.value().body != expected_cols) {
+      return OracleResult::Fail(
+          "cold popp-cols encode is not byte-identical to the CLI encode");
+    }
+  }
+
   // Kill-the-daemon-mid-request crash safety: inject faults into the
   // server-side SavePlan of a fit request. The request's fault-layer ops
   // form a deterministic tail of the op sequence (the reply is sent only

@@ -206,8 +206,9 @@ OracleResult CheckShardVsStream(const Dataset& original,
 /// request threads, in both CSV and popp-cols request framing (replies
 /// mirror the request framing: CSV requests get the CLI's CSV bytes,
 /// cols requests get the same release as popp-cols), cold and
-/// hot (the repeat requests must actually hit the plan cache), and from a
-/// second tenant whose cache is isolated. A fit with a server-side save
+/// hot (the repeat requests must actually hit the plan cache), from a
+/// second tenant whose cache is isolated, and from a third tenant whose
+/// first, cold request is popp-cols framed. A fit with a server-side save
 /// path is then driven through seed-derived fault schedules (clean errors
 /// and simulated kills mid-save, reusing the src/fault fail points): the
 /// daemon must survive and report the fault in the reply, the save path

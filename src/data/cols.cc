@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -37,17 +37,22 @@ void PutU32(std::string& out, uint32_t v) {
   out.append(b, 4);
 }
 
-void PutU64(std::string& out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(b, 8);
+/// Appends `bytes` bytes to `out` for the caller to fill; returns them.
+char* Grow(std::string& out, size_t bytes) {
+  const size_t at = out.size();
+  out.resize(at + bytes);
+  return out.data() + at;
 }
 
-void PatchU64(std::string& out, size_t offset, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+void StoreU64(char* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
 }
+
+void PutU64(std::string& out, uint64_t v) { StoreU64(Grow(out, 8), v); }
 
 uint32_t GetU32(const char* p) {
   uint32_t v = 0;
@@ -65,10 +70,6 @@ uint64_t GetU64(const char* p) {
   return v;
 }
 
-void PutF64(std::string& out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
 double GetF64(const char* p) {
   if constexpr (std::endian::native == std::endian::little) {
     double v;
@@ -76,6 +77,15 @@ double GetF64(const char* p) {
     return v;
   } else {
     return std::bit_cast<double>(GetU64(p));
+  }
+}
+
+/// Copies `count` stored binary64 values to `out`.
+void GetF64s(const char* p, size_t count, double* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out, p, count * 8);  // memcpy forbids null
+  } else {
+    for (size_t i = 0; i < count; ++i) out[i] = GetF64(p + i * 8);
   }
 }
 
@@ -90,18 +100,20 @@ uint8_t WidthFor(size_t n) {
   return 4;
 }
 
-void PutCode(std::string& out, uint32_t code, uint8_t width) {
-  for (int i = 0; i < width; ++i) {
-    out.push_back(static_cast<char>((code >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t GetCode(const char* p, uint8_t width) {
+template <int Width>
+uint32_t LoadCode(const char* p) {
   uint32_t v = 0;
-  for (int i = 0; i < width; ++i) {
+  for (int i = 0; i < Width; ++i) {
     v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
   return v;
+}
+
+template <int Width>
+void StoreCode(char* p, uint32_t code) {
+  for (int i = 0; i < Width; ++i) {
+    p[i] = static_cast<char>((code >> (8 * i)) & 0xff);
+  }
 }
 
 /// Width-specialized bulk code decode: one call per column window instead
@@ -111,22 +123,72 @@ void ForEachCode(const char* codes, uint8_t width, size_t count,
                  const Fn& fn) {
   switch (width) {
     case 1:
-      for (size_t i = 0; i < count; ++i) {
-        fn(i, static_cast<uint32_t>(static_cast<unsigned char>(codes[i])));
-      }
+      for (size_t i = 0; i < count; ++i) fn(i, LoadCode<1>(codes + i));
+      break;
+    case 2:
+      for (size_t i = 0; i < count; ++i) fn(i, LoadCode<2>(codes + i * 2));
+      break;
+    default:
+      for (size_t i = 0; i < count; ++i) fn(i, LoadCode<4>(codes + i * 4));
+      break;
+  }
+}
+
+/// The largest of `count` codes (0 if there are none), in one
+/// width-specialized max reduction.
+uint32_t MaxCode(const char* codes, uint8_t width, size_t count) {
+  uint32_t max = 0;
+  ForEachCode(codes, width, count,
+              [&](size_t, uint32_t code) { max = std::max(max, code); });
+  return max;
+}
+
+/// Width-specialized bulk code encode: writes `count` codes of `width`
+/// bytes to `out`, `code_at(i)` for the i-th.
+template <typename CodeAt>
+void StoreCodes(char* out, uint8_t width, size_t count,
+                const CodeAt& code_at) {
+  switch (width) {
+    case 1:
+      for (size_t i = 0; i < count; ++i) StoreCode<1>(out + i, code_at(i));
       break;
     case 2:
       for (size_t i = 0; i < count; ++i) {
-        const auto* p = reinterpret_cast<const unsigned char*>(codes + i * 2);
-        fn(i, static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8));
+        StoreCode<2>(out + i * 2, code_at(i));
       }
       break;
     default:
       for (size_t i = 0; i < count; ++i) {
-        fn(i, GetCode(codes + i * 4, 4));
+        StoreCode<4>(out + i * 4, code_at(i));
       }
       break;
   }
+}
+
+/// Rewrites `count` codes of `width` bytes as codes of `out_width` bytes,
+/// mapping each through `fn`; both widths are resolved outside the loop.
+template <typename Fn>
+void RecodeCodes(const char* codes, uint8_t width, size_t count, char* out,
+                 uint8_t out_width, const Fn& fn) {
+  switch (width) {
+    case 1:
+      StoreCodes(out, out_width, count,
+                 [&](size_t i) { return fn(LoadCode<1>(codes + i)); });
+      break;
+    case 2:
+      StoreCodes(out, out_width, count,
+                 [&](size_t i) { return fn(LoadCode<2>(codes + i * 2)); });
+      break;
+    default:
+      StoreCodes(out, out_width, count,
+                 [&](size_t i) { return fn(LoadCode<4>(codes + i * 4)); });
+      break;
+  }
+}
+
+/// Inverts TotalOrderKey: the binary64 bit pattern a key was made from.
+uint64_t BitsOfTotalOrderKey(uint64_t key) {
+  return (key & 0x8000000000000000ull) ? key ^ 0x8000000000000000ull : ~key;
 }
 
 // ------------------------------------------------------------- writing --
@@ -139,116 +201,253 @@ struct DirEntry {
   uint64_t crc = 0;
 };
 
-void AppendExtent(std::string& out, uint32_t kind, uint32_t attr,
-                  const std::string& payload, std::vector<DirEntry>& dir) {
-  DirEntry entry;
-  entry.offset = out.size();
-  entry.payload_bytes = payload.size();
-  entry.kind = kind;
-  entry.attr = attr;
-  entry.crc = Crc64(payload);
-  out += payload;
-  PutU64(out, entry.payload_bytes);
-  PutU64(out, entry.crc);
-  dir.push_back(entry);
+/// The one container writer: a header placeholder, then the schema
+/// extent, then extents whose payloads the caller appends to out() in
+/// place, each closed with its footer and directory entry; Finish appends
+/// the directory and fills in the header.
+class ContainerWriter {
+ public:
+  explicit ContainerWriter(const Schema& schema) : schema_(schema) {
+    out_.append(kHeaderBytes, '\0');
+    PutU32(out_, static_cast<uint32_t>(schema.NumAttributes()));
+    for (const std::string& name : schema.attribute_names()) {
+      PutU32(out_, static_cast<uint32_t>(name.size()));
+      out_ += name;
+    }
+    PutU32(out_, static_cast<uint32_t>(schema.NumClasses()));
+    for (const std::string& name : schema.class_names()) {
+      PutU32(out_, static_cast<uint32_t>(name.size()));
+      out_ += name;
+    }
+    CloseExtent(kKindSchema, 0);
+  }
+
+  /// The container so far; the open extent's payload is everything
+  /// appended since the last CloseExtent.
+  std::string& out() { return out_; }
+
+  void CloseExtent(uint32_t kind, uint32_t attr) {
+    DirEntry entry;
+    entry.offset = extent_begin_;
+    entry.payload_bytes = out_.size() - extent_begin_;
+    entry.kind = kind;
+    entry.attr = attr;
+    entry.crc = Crc64(std::string_view(out_).substr(extent_begin_));
+    PutU64(out_, entry.payload_bytes);
+    PutU64(out_, entry.crc);
+    dir_.push_back(entry);
+    extent_begin_ = out_.size();
+    if (kind == kKindColumnDict) ++dict_columns_;
+    if (kind == kKindColumnRaw) ++raw_columns_;
+  }
+
+  std::string Finish(uint64_t num_rows, ColsStats* stats) {
+    const uint64_t directory_offset = out_.size();
+    std::string dir_bytes;
+    for (const DirEntry& entry : dir_) {
+      PutU64(dir_bytes, entry.offset);
+      PutU64(dir_bytes, entry.payload_bytes);
+      PutU32(dir_bytes, entry.kind);
+      PutU32(dir_bytes, entry.attr);
+      PutU64(dir_bytes, entry.crc);
+    }
+    out_ += dir_bytes;
+    PutU64(out_, dir_bytes.size());
+    PutU64(out_, Crc64(dir_bytes));
+
+    std::string header;
+    header += kColsMagic;
+    PutU32(header, kVersion);
+    PutU32(header, static_cast<uint32_t>(kHeaderBytes));
+    PutU64(header, num_rows);
+    PutU32(header, static_cast<uint32_t>(schema_.NumAttributes()));
+    PutU32(header, static_cast<uint32_t>(schema_.NumClasses()));
+    PutU64(header, directory_offset);
+    PutU32(header, static_cast<uint32_t>(dir_.size()));
+    PutU32(header, 0);  // flags
+    PutU64(header, out_.size());
+    PutU64(header, Crc64(header));
+    POPP_CHECK(header.size() == kHeaderBytes);
+    out_.replace(0, kHeaderBytes, header);
+
+    if (stats != nullptr) {
+      stats->num_rows = num_rows;
+      stats->num_attributes = schema_.NumAttributes();
+      stats->dict_columns = dict_columns_;
+      stats->raw_columns = raw_columns_;
+      stats->bytes = out_.size();
+    }
+    return std::move(out_);
+  }
+
+ private:
+  const Schema& schema_;
+  std::string out_;
+  size_t extent_begin_ = kHeaderBytes;
+  std::vector<DirEntry> dir_;
+  size_t dict_columns_ = 0;
+  size_t raw_columns_ = 0;
+};
+
+/// Appends a label extent's header for `num_classes` classes and returns
+/// the code width, which depends on the alphabet alone.
+uint8_t AppendLabelHeader(std::string& out, size_t num_classes) {
+  const uint8_t width = WidthFor(std::max<size_t>(num_classes, 1));
+  out.push_back(static_cast<char>(width));
+  out.append(7, '\0');
+  return width;
 }
 
-std::string SchemaPayload(const Schema& schema) {
-  std::string payload;
-  PutU32(payload, static_cast<uint32_t>(schema.NumAttributes()));
-  for (const std::string& name : schema.attribute_names()) {
-    PutU32(payload, static_cast<uint32_t>(name.size()));
-    payload += name;
-  }
-  PutU32(payload, static_cast<uint32_t>(schema.NumClasses()));
-  for (const std::string& name : schema.class_names()) {
-    PutU32(payload, static_cast<uint32_t>(name.size()));
-    payload += name;
-  }
-  return payload;
+/// The distinct count at which a dictionary can no longer beat raw for
+/// `rows` rows. Dictionary framing costs 8 + 8*D + rows*width bytes
+/// against rows*8 raw, and width is at least one byte, so once D reaches
+/// ceil((7*rows - 8) / 8) the dictionary cannot win for any width.
+size_t NoWinDistincts(size_t rows) {
+  return rows >= 2 ? (7 * rows - 8 + 7) / 8 : rows + 1;
 }
 
-std::string LabelsPayload(const Dataset& data) {
-  const uint8_t width = WidthFor(std::max<size_t>(data.NumClasses(), 1));
-  std::string payload;
-  payload.push_back(static_cast<char>(width));
-  payload.append(7, '\0');
-  payload.reserve(payload.size() + data.NumRows() * width);
-  for (ClassId label : data.labels()) {
-    PutCode(payload, static_cast<uint32_t>(label), width);
-  }
-  return payload;
+/// The dict-vs-raw rule every column writer follows: a column of `rows`
+/// rows and `distincts` distinct bit patterns is stored as a dictionary
+/// exactly when that is strictly smaller than raw. `*width` receives the
+/// dictionary's code width.
+bool DictWins(size_t distincts, size_t rows, uint8_t* width) {
+  *width = WidthFor(std::max<size_t>(distincts, 1));
+  if (distincts >= NoWinDistincts(rows)) return false;
+  const size_t dict_bytes = 8 + distincts * 8 + rows * *width;
+  return distincts <= (1ull << 32) && dict_bytes < rows * 8;
 }
 
-/// Serializes one column, choosing dictionary encoding when it is smaller.
-std::string ColumnPayload(const std::vector<AttrValue>& values,
-                          uint32_t* kind) {
+/// Ranks total-order keys, one per slot and possibly repeated: `distinct`
+/// receives the distinct keys in ascending order — a released dictionary
+/// — and the result maps each slot to its key's position there. Keys are
+/// compared as integers, so two values are one entry exactly when their
+/// bit patterns agree: -0.0 stays apart from 0.0.
+std::vector<uint32_t> RankKeys(const std::vector<uint64_t>& keys,
+                               std::vector<uint64_t>* distinct) {
+  std::vector<std::pair<uint64_t, uint32_t>> order(keys.size());
+  for (size_t slot = 0; slot < keys.size(); ++slot) {
+    order[slot] = {keys[slot], static_cast<uint32_t>(slot)};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<uint32_t> rank(keys.size());
+  distinct->clear();
+  for (const auto& [key, slot] : order) {
+    if (distinct->empty() || distinct->back() != key) distinct->push_back(key);
+    rank[slot] = static_cast<uint32_t>(distinct->size() - 1);
+  }
+  return rank;
+}
+
+/// Appends a dictionary extent's header and entries: u32 size, u8 code
+/// width, 3 pad, then the binary64 bit pattern of each key.
+void AppendDictionary(std::string& out, const std::vector<uint64_t>& keys,
+                      uint8_t width) {
+  PutU32(out, static_cast<uint32_t>(keys.size()));
+  out.push_back(static_cast<char>(width));
+  out.append(3, '\0');
+  char* entries = Grow(out, keys.size() * 8);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    StoreU64(entries + i * 8, BitsOfTotalOrderKey(keys[i]));
+  }
+}
+
+/// Appends one column's payload, a dictionary when DictWins and raw
+/// binary64 otherwise, and returns its kind.
+uint32_t AppendColumn(std::string& out, const std::vector<AttrValue>& values) {
   const size_t rows = values.size();
 
   // The column's distinct bit patterns — the dictionary candidate (for an
   // F_bi-heavy attribute this is its active domain). Keys are total-order
   // keys of the bits, so -0.0 stays apart from 0.0 and NaN payloads are
   // kept, or a cols round trip would not be bit-identical to CSV's exact
-  // 17-digit round trip. Dictionary framing costs 8 + 8*D + rows*width
-  // bytes against rows*8 raw, and width is at least one byte, so once the
-  // distinct count D reaches ceil((7*rows - 8) / 8) the dictionary cannot
-  // win for any width; stopping the scan at that exact cut-off lets a
+  // 17-digit round trip. Stopping the scan at NoWinDistincts lets a
   // mostly-distinct column (every released attribute after the piecewise
   // transform) skip the sort entirely, while keeping the dict-vs-raw
   // decision — and therefore the output bytes — identical.
-  const size_t no_win_distincts =
-      rows >= 2 ? (7 * rows - 8 + 7) / 8 : rows + 1;
+  const size_t no_win_distincts = NoWinDistincts(rows);
   ValueIndex index;
   std::vector<uint32_t> row_slots(rows);
-  bool dict_possible = true;
-  for (size_t r = 0; r < rows; ++r) {
+  for (size_t r = 0; r < rows && index.size() < no_win_distincts; ++r) {
     row_slots[r] =
         index.Insert(TotalOrderKey(std::bit_cast<uint64_t>(values[r])));
-    if (index.size() >= no_win_distincts) {
-      dict_possible = false;
-      break;
-    }
   }
 
-  const size_t dict_size = dict_possible ? index.size() : 0;
-  const uint8_t width = WidthFor(std::max<size_t>(dict_size, 1));
-  const size_t dict_bytes = 8 + dict_size * 8 + rows * width;
-  const size_t raw_bytes = rows * 8;
+  uint8_t width = 0;
+  if (!DictWins(index.size(), rows, &width)) {
+    char* raw = Grow(out, rows * 8);
+    for (size_t r = 0; r < rows; ++r) {
+      StoreU64(raw + r * 8, std::bit_cast<uint64_t>(values[r]));
+    }
+    return kKindColumnRaw;
+  }
+  // One sort of the distinct keys gives the dictionary order; a row's
+  // code is then its slot's rank.
+  std::vector<uint64_t> keys;
+  const std::vector<uint32_t> rank = RankKeys(index.keys(), &keys);
+  AppendDictionary(out, keys, width);
+  StoreCodes(Grow(out, rows * width), width, rows,
+             [&](size_t r) { return rank[row_slots[r]]; });
+  return kKindColumnDict;
+}
 
-  std::string payload;
-  if (dict_possible && dict_size <= (1ull << 32) && dict_bytes < raw_bytes) {
-    *kind = kKindColumnDict;
-    payload.reserve(dict_bytes);
-    PutU32(payload, static_cast<uint32_t>(dict_size));
-    payload.push_back(static_cast<char>(width));
-    payload.append(3, '\0');
-    // One sort of the distinct keys gives the dictionary order; a row's
-    // code is then its slot's rank.
-    const std::vector<uint64_t>& keys = index.keys();
-    std::vector<uint32_t> sorted(dict_size);
-    std::iota(sorted.begin(), sorted.end(), 0u);
-    std::sort(sorted.begin(), sorted.end(),
-              [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
-    std::vector<uint32_t> code_of_slot(dict_size);
-    for (size_t code = 0; code < dict_size; ++code) {
-      const uint64_t key = keys[sorted[code]];
-      // Invert the order map to recover the exact bit pattern.
-      const uint64_t bits =
-          (key & 0x8000000000000000ull) ? key ^ 0x8000000000000000ull : ~key;
-      PutF64(payload, std::bit_cast<double>(bits));
-      code_of_slot[sorted[code]] = static_cast<uint32_t>(code);
+/// Appends the payload of a dictionary column released through `map`,
+/// equal to AppendColumn over the mapped rows. `map` depends on the value
+/// alone, so it runs once per dictionary entry some row uses, and a row's
+/// image is its entry's. An entry no row uses is skipped: its image is
+/// not in the released column. The images, deduplicated by bit pattern,
+/// form the released dictionary and the row codes are rewritten through
+/// an entry -> code table; when DictWins says no, each row gets its
+/// entry's image raw.
+template <typename Map>
+uint32_t AppendMappedDictColumn(std::string& out, const char* dict_values,
+                                size_t dict_size, const char* codes,
+                                uint8_t code_width, size_t rows,
+                                const Map& map) {
+  constexpr uint32_t kUnused = UINT32_MAX;
+  std::vector<uint32_t> slot_of_entry(dict_size, kUnused);
+  ForEachCode(codes, code_width, rows,
+              [&](size_t, uint32_t code) { slot_of_entry[code] = 0; });
+  std::vector<AttrValue> images;
+  for (size_t e = 0; e < dict_size; ++e) {
+    if (slot_of_entry[e] == kUnused) continue;
+    slot_of_entry[e] = static_cast<uint32_t>(images.size());
+    images.push_back(GetF64(dict_values + e * 8));
+  }
+  if (!images.empty()) map(images.data(), images.data(), images.size());
+
+  std::vector<uint64_t> image_bits(images.size());
+  std::vector<uint64_t> keys(images.size());
+  for (size_t slot = 0; slot < images.size(); ++slot) {
+    image_bits[slot] = std::bit_cast<uint64_t>(images[slot]);
+    keys[slot] = TotalOrderKey(image_bits[slot]);
+  }
+  std::vector<uint64_t> distinct;
+  const std::vector<uint32_t> rank = RankKeys(keys, &distinct);
+
+  uint8_t width = 0;
+  if (DictWins(distinct.size(), rows, &width)) {
+    AppendDictionary(out, distinct, width);
+    std::vector<uint32_t> code_of_entry(dict_size, 0);
+    for (size_t e = 0; e < dict_size; ++e) {
+      if (slot_of_entry[e] != kUnused) {
+        code_of_entry[e] = rank[slot_of_entry[e]];
+      }
     }
-    for (const uint32_t slot : row_slots) {
-      PutCode(payload, code_of_slot[slot], width);
-    }
-  } else {
-    *kind = kKindColumnRaw;
-    payload.reserve(raw_bytes);
-    for (AttrValue v : values) {
-      PutF64(payload, v);
+    RecodeCodes(codes, code_width, rows, Grow(out, rows * width), width,
+                [&](uint32_t code) { return code_of_entry[code]; });
+    return kKindColumnDict;
+  }
+  std::vector<uint64_t> bits_of_entry(dict_size, 0);
+  for (size_t e = 0; e < dict_size; ++e) {
+    if (slot_of_entry[e] != kUnused) {
+      bits_of_entry[e] = image_bits[slot_of_entry[e]];
     }
   }
-  return payload;
+  char* raw = Grow(out, rows * 8);
+  ForEachCode(codes, code_width, rows, [&](size_t r, uint32_t code) {
+    StoreU64(raw + r * 8, bits_of_entry[code]);
+  });
+  return kKindColumnRaw;
 }
 
 // ------------------------------------------------------------- parsing --
@@ -294,60 +493,18 @@ bool LooksLikeCols(std::string_view prefix) {
 }
 
 std::string SerializeCols(const Dataset& data, ColsStats* stats) {
-  ColsStats local;
-  local.num_rows = data.NumRows();
-  local.num_attributes = data.NumAttributes();
-
-  std::string out;
-  out.append(kHeaderBytes, '\0');  // patched below
-
-  std::vector<DirEntry> dir;
-  AppendExtent(out, kKindSchema, 0, SchemaPayload(data.schema()), dir);
-  AppendExtent(out, kKindLabels, 0, LabelsPayload(data), dir);
+  ContainerWriter writer(data.schema());
+  std::string& out = writer.out();
+  const size_t rows = data.NumRows();
+  const uint8_t label_width = AppendLabelHeader(out, data.NumClasses());
+  StoreCodes(Grow(out, rows * label_width), label_width, rows,
+             [&](size_t r) { return static_cast<uint32_t>(data.Label(r)); });
+  writer.CloseExtent(kKindLabels, 0);
   for (size_t a = 0; a < data.NumAttributes(); ++a) {
-    uint32_t kind = 0;
-    const std::string payload = ColumnPayload(data.Column(a), &kind);
-    if (kind == kKindColumnDict) {
-      ++local.dict_columns;
-    } else {
-      ++local.raw_columns;
-    }
-    AppendExtent(out, kind, static_cast<uint32_t>(a), payload, dir);
+    writer.CloseExtent(AppendColumn(out, data.Column(a)),
+                       static_cast<uint32_t>(a));
   }
-
-  const uint64_t directory_offset = out.size();
-  std::string dir_bytes;
-  for (const DirEntry& entry : dir) {
-    PutU64(dir_bytes, entry.offset);
-    PutU64(dir_bytes, entry.payload_bytes);
-    PutU32(dir_bytes, entry.kind);
-    PutU32(dir_bytes, entry.attr);
-    PutU64(dir_bytes, entry.crc);
-  }
-  out += dir_bytes;
-  PutU64(out, dir_bytes.size());
-  PutU64(out, Crc64(dir_bytes));
-
-  // Patch the header now that every offset is known.
-  std::string header;
-  header += kColsMagic;
-  PutU32(header, kVersion);
-  PutU32(header, static_cast<uint32_t>(kHeaderBytes));
-  PutU64(header, data.NumRows());
-  PutU32(header, static_cast<uint32_t>(data.NumAttributes()));
-  PutU32(header, static_cast<uint32_t>(data.NumClasses()));
-  PutU64(header, directory_offset);
-  PutU32(header, static_cast<uint32_t>(dir.size()));
-  PutU32(header, 0);  // flags
-  PutU64(header, out.size());
-  PutU64(header, Crc64(header));
-  POPP_CHECK(header.size() == kHeaderBytes);
-  out.replace(0, kHeaderBytes, header);
-  (void)PatchU64;  // kept for future in-place patching of large headers
-
-  local.bytes = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return writer.Finish(rows, stats);
 }
 
 Result<ColsView> ColsView::Open(std::string_view bytes) {
@@ -482,10 +639,8 @@ Result<ColsView> ColsView::Open(std::string_view bytes) {
           return Corrupt("label extent size disagrees with the row count");
         }
         const char* codes = reader.Here();
-        for (uint64_t r = 0; r < num_rows; ++r) {
-          if (GetCode(codes + r * width, width) >= num_classes) {
-            return Corrupt("label code out of range");
-          }
+        if (num_rows > 0 && MaxCode(codes, width, num_rows) >= num_classes) {
+          return Corrupt("label code out of range");
         }
         view.label_codes_ = codes;
         view.label_width_ = width;
@@ -532,11 +687,9 @@ Result<ColsView> ColsView::Open(std::string_view bytes) {
           }
           column.codes = reader.Here();
           column.code_width = width;
-          for (uint64_t r = 0; r < num_rows; ++r) {
-            if (GetCode(column.codes + r * width, width) >=
-                column.dict_size) {
-              return Corrupt("dictionary code out of range");
-            }
+          if (num_rows > 0 &&
+              MaxCode(column.codes, width, num_rows) >= column.dict_size) {
+            return Corrupt("dictionary code out of range");
           }
         }
         break;
@@ -578,14 +731,8 @@ Dataset ColsView::MaterializeRows(size_t begin, size_t end) const {
                     out[r] = GetF64(column.dict_values +
                                     static_cast<size_t>(code) * 8);
                   });
-    } else if (rows > 0) {  // empty vector data() may be null; memcpy forbids it
-      if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(out.data(), column.raw + begin * 8, rows * 8);
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          out[r] = GetF64(column.raw + (begin + r) * 8);
-        }
-      }
+    } else {
+      GetF64s(column.raw + begin * 8, rows, out.data());
     }
   }
   std::vector<ClassId> labels(rows);
@@ -594,6 +741,48 @@ Dataset ColsView::MaterializeRows(size_t begin, size_t end) const {
                 labels[r] = static_cast<ClassId>(code);
               });
   return Dataset(schema_, std::move(columns), std::move(labels));
+}
+
+bool ColsView::AllFinite() const {
+  bool finite = true;
+  for (const ColumnView& column : columns_) {
+    const char* values = column.dict ? column.dict_values : column.raw;
+    const size_t count = column.dict ? column.dict_size : num_rows_;
+    for (size_t i = 0; i < count; ++i) {
+      finite &= std::isfinite(GetF64(values + i * 8));
+    }
+  }
+  return finite;
+}
+
+std::string ColsView::SerializeMapped(const ColumnMap& map,
+                                      ColsStats* stats) const {
+  ContainerWriter writer(schema_);
+  std::string& out = writer.out();
+  const uint8_t label_width = AppendLabelHeader(out, schema_.NumClasses());
+  RecodeCodes(label_codes_, label_width_, num_rows_,
+              Grow(out, num_rows_ * label_width), label_width,
+              [](uint32_t code) { return code; });
+  writer.CloseExtent(kKindLabels, 0);
+  std::vector<AttrValue> values;
+  for (size_t a = 0; a < columns_.size(); ++a) {
+    const ColumnView& column = columns_[a];
+    const auto map_attr = [&](const AttrValue* in, AttrValue* mapped,
+                              size_t n) { map(a, in, mapped, n); };
+    uint32_t kind = 0;
+    if (column.dict) {
+      kind = AppendMappedDictColumn(out, column.dict_values, column.dict_size,
+                                    column.codes, column.code_width,
+                                    num_rows_, map_attr);
+    } else {
+      values.resize(num_rows_);
+      GetF64s(column.raw, num_rows_, values.data());
+      if (num_rows_ > 0) map_attr(values.data(), values.data(), num_rows_);
+      kind = AppendColumn(out, values);
+    }
+    writer.CloseExtent(kind, static_cast<uint32_t>(a));
+  }
+  return writer.Finish(num_rows_, stats);
 }
 
 Result<Dataset> ParseCols(std::string_view bytes) {

@@ -2,6 +2,7 @@
 #define POPP_DATA_COLS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +90,13 @@ Status WriteCols(const Dataset& data, const std::string& path,
 /// Reads a container from `path` (mmap-backed; falls back to buffered).
 Result<Dataset> ReadCols(const std::string& path);
 
+/// An elementwise map over one attribute's values: `map(attr, in, out, n)`
+/// writes the image of `in[i]` to `out[i]` for every i < n (`out` may
+/// alias `in`). The image must depend on the value alone: equal input bits
+/// give equal output bits, wherever and however often they occur.
+using ColumnMap = std::function<void(size_t attr, const AttrValue* in,
+                                     AttrValue* out, size_t n)>;
+
 /// A validated, zero-copy view over a container held in externally owned
 /// bytes (an mmap or a read buffer; the span must outlive the view).
 /// `Open` verifies every checksum and every code eagerly, so
@@ -107,6 +115,20 @@ class ColsView {
   /// Copies rows [begin, end) into a Dataset carrying the full schema.
   /// Requires begin <= end <= num_rows().
   Dataset MaterializeRows(size_t begin, size_t end) const;
+
+  /// True if every stored value is finite: every raw cell and every
+  /// dictionary entry, whether or not a row uses it.
+  bool AllFinite() const;
+
+  /// The container of the dataset whose attribute `a` is `map(a, .)` of
+  /// this view's column `a`: byte-identical to SerializeCols of the mapped
+  /// MaterializeRows(0, num_rows()), written without materializing the
+  /// rows. A dictionary column maps only the entries some row uses, once
+  /// each, deduplicates their images by bit pattern and rewrites the row
+  /// codes; a raw column maps every row. Labels are re-emitted at the
+  /// width SerializeCols uses, whatever width this container stores.
+  std::string SerializeMapped(const ColumnMap& map,
+                              ColsStats* stats = nullptr) const;
 
  private:
   struct ColumnView {

@@ -176,6 +176,21 @@ Result<Dataset> ParseRequestDataset(const std::string& bytes) {
   return data;
 }
 
+/// Fits the plan for `data` and caches it under `key`. Must be called
+/// under the workspace lock.
+const CachedPlan* FitPlan(Workspace& workspace, const PlanKey& key,
+                          const Dataset& data, const OpOptions& options) {
+  // The exact CLI fitting sequence: a fresh Rng seeded with the request
+  // seed, consumed only by plan creation — byte-identical to `popp
+  // encode --seed N` at every thread count.
+  Rng rng(options.seed);
+  CachedPlan cached;
+  cached.plan =
+      TransformPlan::Create(data, options.transform, rng, options.exec);
+  cached.compiled = CompiledPlan::Compile(cached.plan);
+  return workspace.cache().Insert(key, std::move(cached));
+}
+
 /// Fetches the tenant's plan for (data's schema, seed, policy), fitting
 /// and caching on a miss. Must be called under the workspace lock. The
 /// bool reports whether the plan was served hot.
@@ -187,15 +202,52 @@ std::pair<const CachedPlan*, bool> GetOrFitPlan(Workspace& workspace,
   if (const CachedPlan* hit = workspace.cache().Lookup(key)) {
     return {hit, true};
   }
-  // The exact CLI fitting sequence: a fresh Rng seeded with the request
-  // seed, consumed only by plan creation — byte-identical to `popp
-  // encode --seed N` at every thread count.
-  Rng rng(options.seed);
-  CachedPlan cached;
-  cached.plan =
-      TransformPlan::Create(data, options.transform, rng, options.exec);
-  cached.compiled = CompiledPlan::Compile(cached.plan);
-  return {workspace.cache().Insert(key, std::move(cached)), false};
+  return {FitPlan(workspace, key, data, options), false};
+}
+
+/// The encode reply text, for either framing.
+std::string EncodedText(size_t rows, size_t attributes, bool hot,
+                        bool cols_framed) {
+  return "encoded " + std::to_string(rows) + " rows x " +
+         std::to_string(attributes) + " attributes (" +
+         (hot ? "hot" : "cold") + " plan, " + (cols_framed ? "cols" : "csv") +
+         " reply)";
+}
+
+/// Encodes a validated popp-cols request whose stored values are all
+/// finite straight from its view: the same phases, cache lookups and
+/// bytes as the materialized composition in OpEncode. A plan-cache hit
+/// builds no Dataset; a miss materializes the rows once, for the fit.
+ReplyBody EncodeColsView(Workspace& workspace, const ColsView& view,
+                         const OpOptions& options,
+                         const RequestContext& context) {
+  if (auto late = DeadlineReply(context, "after parsing the request")) {
+    return *late;
+  }
+  std::lock_guard<std::mutex> lock(workspace.mutex());
+  ++workspace.requests_served;
+  const PlanKey key =
+      PlanKey::Make(view.schema(), options.seed, options.transform);
+  const CachedPlan* cached = workspace.cache().Lookup(key);
+  const bool hot = cached != nullptr;
+  if (!hot) {
+    cached = FitPlan(workspace, key, view.MaterializeRows(0, view.num_rows()),
+                     options);
+  }
+  if (auto late = DeadlineReply(context, "after the plan fit")) {
+    return *late;
+  }
+  const CompiledPlan& compiled = cached->compiled;
+  std::string released = view.SerializeMapped(
+      [&](size_t attr, const AttrValue* in, AttrValue* out, size_t n) {
+        compiled.EncodeColumn(attr, in, out, n, options.exec);
+      });
+  if (auto late = DeadlineReply(context, "after the encode")) {
+    return *late;
+  }
+  return ReplyBody::Ok(
+      EncodedText(view.num_rows(), view.num_attributes(), hot, true),
+      std::move(released));
 }
 
 ReplyBody OpFit(Workspace& workspace, const RequestBody& request,
@@ -245,6 +297,22 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
                    const OpConfig& config, const RequestContext& context) {
   auto options = ParseOptions(request.options, config);
   if (!options.ok()) return ReplyBody::Error(options.status());
+  // The reply mirrors the request framing: a popp-cols request gets the
+  // popp-cols container of the release, a CSV request the byte-identical
+  // CSV that `popp encode` would write. Each attribute's transform is a
+  // function of the value alone, so a popp-cols release needs only the
+  // image of each dictionary entry some row uses and the same row codes,
+  // re-ranked. A container holding a non-finite value, used or not, takes
+  // the materialized path below, which refuses it if a row uses it.
+  const bool cols_framed = LooksLikeCols(request.dataset);
+  if (cols_framed) {
+    auto view = ColsView::Open(request.dataset);
+    if (!view.ok()) return ReplyBody::Error(view.status());
+    if (view.value().AllFinite()) {
+      return EncodeColsView(workspace, view.value(), options.value(),
+                            context);
+    }
+  }
   auto data = ParseRequestDataset(request.dataset);
   if (!data.ok()) return ReplyBody::Error(data.status());
   if (auto late = DeadlineReply(context, "after parsing the request")) {
@@ -260,20 +328,11 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
   }
   const Dataset released =
       cached->compiled.EncodeDataset(data.value(), options.value().exec);
-  // The reply mirrors the request framing: a popp-cols request gets a
-  // popp-cols release (the binary container is ~50x cheaper to serialize
-  // than CSV, which is where warm-request latency goes otherwise); a CSV
-  // request gets the byte-identical CSV that `popp encode` would write.
   if (auto late = DeadlineReply(context, "after the encode")) {
     return *late;
   }
-  const bool cols_framed = LooksLikeCols(request.dataset);
-  return ReplyBody::Ok("encoded " + std::to_string(released.NumRows()) +
-                           " rows x " +
-                           std::to_string(released.NumAttributes()) +
-                           " attributes (" + (hot ? "hot" : "cold") +
-                           " plan, " + (cols_framed ? "cols" : "csv") +
-                           " reply)",
+  return ReplyBody::Ok(EncodedText(released.NumRows(),
+                                   released.NumAttributes(), hot, cols_framed),
                        cols_framed ? SerializeCols(released)
                                    : ToCsvString(released));
 }

@@ -381,6 +381,42 @@ TEST_F(ServeEndToEndTest, EncodeMatchesLibraryAcrossFramingsAndThreads) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+TEST_F(ServeEndToEndTest, ColsRequestsCountOneMissThenHits) {
+  // The first popp-cols encode fits (cold), the next two are served from
+  // the cache without building a Dataset; the stats op counts one lookup
+  // per request either way.
+  ServeOptions options;
+  options.socket_path = TempSocketPath("colsstats");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+
+  PiecewiseOptions transform;
+  transform.policy = BreakpointPolicy::kChooseBP;
+  const std::string expected_cols = SerializeCols(ExpectedRelease(9, transform));
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+  for (const char* plan : {"cold plan", "hot plan", "hot plan"}) {
+    RequestBody request;
+    request.options = OptionsText(9, 1);
+    request.dataset = cols_bytes_;
+    auto reply = client.Call(Tag::kEncode, "t", request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply.value().ok()) << reply.value().text;
+    EXPECT_NE(reply.value().text.find(std::string(plan) + ", cols reply"),
+              std::string::npos)
+        << reply.value().text;
+    EXPECT_EQ(reply.value().body, expected_cols);
+  }
+  auto stats = client.Call(Tag::kStats, "t", RequestBody{});
+  ASSERT_TRUE(stats.ok() && stats.value().ok());
+  for (const char* line : {"requests_served: 4", "cache_misses: 1",
+                           "cache_hits: 2"}) {
+    EXPECT_NE(stats.value().body.find(line), std::string::npos)
+        << stats.value().body;
+  }
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
 TEST_F(ServeEndToEndTest, LruEvictionUnderTinyCapacity) {
   ServeOptions options;
   options.socket_path = TempSocketPath("lru");

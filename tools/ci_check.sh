@@ -29,8 +29,9 @@
 # — TSan cannot host fork()), the serve_vs_cli oracle and the
 # popp-serve test battery (byte-identity, tenant isolation, malformed
 # frames, kill-mid-request crash schedules), and a final smoke stage
-# round-trips a real popp-serve process against `popp encode`, sends it
-# an encode with an `inf` cell, a risk request with zero trials and a
+# round-trips a real popp-serve process against `popp encode` (the
+# popp-cols request cold, on its own tenant), sends it an encode with an
+# `inf` cell in each framing, a risk request with zero trials and a
 # decode whose tree splits on an attribute the data lacks (each must be
 # refused by name while the daemon keeps answering `health`), then
 # drains it to exit 0. Both
@@ -270,12 +271,14 @@ timeout 900 "$tsan_build_dir/tools/popp_check" \
   --gtest_filter='ResilRetry*:ResilDeadline*:ResilHeartbeat*:ResilAdmission*:ServeAdmission*:ShardSweep*:FailPointDelay*'
 
 echo "== serve smoke: daemon round trip vs one-shot CLI =="
-# Start a real popp-serve process, push one cols-framed encode through
-# `popp serve-client`, byte-compare against `popp encode`, send three bad
-# requests (an encode with an `inf` cell, a risk report with zero trials,
-# a decode whose tree splits on attribute index 4 of 3-attribute data),
-# each refused by name while the daemon still answers `health`, then shut
-# the daemon down and verify it drained (exit 0) and removed its socket.
+# Start a real popp-serve process, push a CSV and a cols-framed encode
+# through `popp serve-client` (the cols one first on tenant `cols`, so it
+# takes the cold path that fits the plan) and byte-compare both against
+# `popp encode`, send four bad requests (an encode with an `inf` cell as
+# CSV and as popp-cols, a risk report with zero trials, a decode whose
+# tree splits on attribute index 4 of 3-attribute data), each refused by
+# name while the daemon still answers `health`, then shut the daemon down
+# and verify it drained (exit 0) and removed its socket.
 cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -297,7 +300,8 @@ for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
   "$serve_dir/data.csv" "$serve_dir/served.csv" --seed 21 --policy bp
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served.csv"
 "$build_dir/tools/popp" serve-client "$sock" encode \
-  "$serve_dir/data.cols" "$serve_dir/served.cols" --seed 21 --policy bp
+  "$serve_dir/data.cols" "$serve_dir/served.cols" --seed 21 --policy bp \
+  --tenant cols
 "$build_dir/tools/popp" convert "$serve_dir/served.cols" \
   "$serve_dir/served_from_cols.csv"
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served_from_cols.csv"
@@ -314,10 +318,13 @@ refused() {
   }
 }
 printf 'u,v,w,class\n1,2,3,p\n4,inf,6,q\n' > "$serve_dir/inf.csv"
+"$build_dir/tools/popp" convert "$serve_dir/inf.csv" "$serve_dir/inf.cols"
 printf 'popp-tree v1\nsplit 4 0.5 hist 0\nleaf 0 hist 0\nleaf 1 hist 0\n' \
   > "$serve_dir/wide.tree"
 refused "attribute 'v' = inf" serve-client "$sock" encode \
   "$serve_dir/inf.csv" "$serve_dir/inf_out.csv"
+refused "attribute 'v' = inf" serve-client "$sock" encode \
+  "$serve_dir/inf.cols" "$serve_dir/inf_out.cols"
 refused "'trials' must be >= 1" serve-client "$sock" risk \
   "$serve_dir/data.csv" --trials 0
 refused "splits on attribute index 4" serve-client "$sock" decode \
