@@ -387,7 +387,8 @@ TEST(ColsMapped, UnusedEntriesStayOutOfTheReleasedDictionary) {
   // The released dictionary holds the two used values only: 8 + 2 * 8
   // dictionary bytes plus one code byte per row.
   ColsStats stats;
-  auto view = ColsView::Open(WriteLayout(layout));
+  const std::string bytes = WriteLayout(layout);
+  auto view = ColsView::Open(bytes);
   ASSERT_TRUE(view.ok());
   const std::string mapped = view.value().SerializeMapped(Identity, &stats);
   const Dataset back = ParseCols(mapped).value();
@@ -514,7 +515,8 @@ TEST(ColsOpen, LabelCodeOutOfRangeAtEveryWidth) {
       ContainerLayout layout = OneColumn(DictColumn({1, 2}, {0, 1, 0}), 3);
       layout.label_width = width;
       layout.labels.back() = bad;
-      auto view = ColsView::Open(WriteLayout(layout));
+      const std::string bytes = WriteLayout(layout);
+      auto view = ColsView::Open(bytes);
       ASSERT_FALSE(view.ok()) << "width " << int{width} << " code " << bad;
       EXPECT_EQ(view.status().code(), StatusCode::kDataLoss);
       EXPECT_NE(view.status().message().find("label code out of range"),
@@ -532,7 +534,8 @@ TEST(ColsOpen, DictionaryCodeOutOfRangeAtEveryWidth) {
     for (const uint32_t bad : bad_codes) {
       const ContainerLayout layout =
           OneColumn(DictColumn({1, 2, 3}, {0, 2, bad}, width), 3);
-      auto view = ColsView::Open(WriteLayout(layout));
+      const std::string bytes = WriteLayout(layout);
+      auto view = ColsView::Open(bytes);
       ASSERT_FALSE(view.ok()) << "width " << int{width} << " code " << bad;
       EXPECT_EQ(view.status().code(), StatusCode::kDataLoss);
       EXPECT_NE(
@@ -542,8 +545,9 @@ TEST(ColsOpen, DictionaryCodeOutOfRangeAtEveryWidth) {
     }
   }
   // The largest code in range is accepted.
-  auto view = ColsView::Open(
-      WriteLayout(OneColumn(DictColumn({1, 2, 3}, {2, 0, 1}, 4), 3)));
+  const std::string bytes =
+      WriteLayout(OneColumn(DictColumn({1, 2, 3}, {2, 0, 1}, 4), 3));
+  auto view = ColsView::Open(bytes);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
 }
 
@@ -601,10 +605,10 @@ void ExpectServedMatchesComposed(const std::string& bytes,
 }
 
 /// Two attributes over the values 0..11 and 100..111, 90 rows.
-Dataset WarmDataset(int first_value) {
+Dataset WarmDataset() {
   Dataset d({"x", "y"}, {"a", "b"});
   for (int r = 0; r < 90; ++r) {
-    d.AddRow({static_cast<double>(first_value + r % 12),
+    d.AddRow({static_cast<double>(r % 12),
               static_cast<double>(100 + (r * 7) % 12)},
              static_cast<ClassId>(r % 2));
   }
@@ -634,10 +638,10 @@ TEST(ColsServeEncode, WarmPlanFittedOnOtherDataReproducesTheComposition) {
   const ContainerLayout layout = TwoColumns(DictColumn(x_dict, x_codes, 2),
                                             RawColumn(y_values), 70);
   for (const uint64_t seed : {1, 2, 3}) {
-    ExpectServedMatchesComposed(WriteLayout(layout), WarmDataset(0), seed);
+    ExpectServedMatchesComposed(WriteLayout(layout), WarmDataset(), seed);
   }
   // Served from the same data it was fitted on, it is the batch release.
-  const Dataset warm = WarmDataset(0);
+  const Dataset warm = WarmDataset();
   ExpectServedMatchesComposed(SerializeCols(warm), warm, 4);
 }
 
@@ -658,7 +662,7 @@ TEST(ColsServeEncode, NonFiniteValuesTakeTheMaterializedPath) {
       DictColumn({1, 2, 3, -inf, nan}, codes), RawColumn(y_values), 40);
   ContainerLayout raw_nan = unused_inf;
   raw_nan.columns[1].raw[17] = nan;
-  const Dataset warm = WarmDataset(0);
+  const Dataset warm = WarmDataset();
   for (const ContainerLayout& layout : {used_inf, unused_inf, raw_nan}) {
     ExpectServedMatchesComposed(WriteLayout(layout), warm, 5);
   }
@@ -669,9 +673,9 @@ TEST(ColsServeEncode, NonFiniteValuesTakeTheMaterializedPath) {
 }
 
 TEST(ColsServeEncode, DamagedContainerIsDataLoss) {
-  std::string bytes = SerializeCols(WarmDataset(0));
+  std::string bytes = SerializeCols(WarmDataset());
   bytes[bytes.size() / 2] ^= 0x20;
-  const serve::ReplyBody served = ServedEncode(bytes, WarmDataset(0), 6);
+  const serve::ReplyBody served = ServedEncode(bytes, WarmDataset(), 6);
   EXPECT_EQ(served.code, StatusCode::kDataLoss);
   EXPECT_EQ(served.text, ParseCols(bytes).status().ToString());
 }
@@ -679,7 +683,7 @@ TEST(ColsServeEncode, DamagedContainerIsDataLoss) {
 TEST(ColsServeEncode, ZeroRowContainerOnAWarmPlan) {
   const ContainerLayout empty =
       TwoColumns(DictColumn({4, 2}, {}, 4), RawColumn({}), 0);
-  ExpectServedMatchesComposed(WriteLayout(empty), WarmDataset(0), 7);
+  ExpectServedMatchesComposed(WriteLayout(empty), WarmDataset(), 7);
 }
 
 TEST(ColsServeEncode, RequestThreadsDoNotChangeTheBytes) {
@@ -697,7 +701,7 @@ TEST(ColsServeEncode, RequestThreadsDoNotChangeTheBytes) {
                                       RawColumn(y_values), 20000);
   layout.labels.assign(20000, 1);
   const std::string bytes = WriteLayout(layout);
-  const Dataset warm = WarmDataset(0);
+  const Dataset warm = WarmDataset();
   const Result<std::string> composed = ComposedEncode(bytes, warm, 8);
   ASSERT_TRUE(composed.ok()) << composed.status().ToString();
   for (const size_t threads : {1, 4}) {
