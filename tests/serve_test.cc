@@ -392,7 +392,8 @@ TEST_F(ServeEndToEndTest, ColsRequestsCountOneMissThenHits) {
 
   PiecewiseOptions transform;
   transform.policy = BreakpointPolicy::kChooseBP;
-  const std::string expected_cols = SerializeCols(ExpectedRelease(9, transform));
+  const std::string expected_cols =
+      SerializeCols(ExpectedRelease(9, transform));
   ServeClient client;
   ASSERT_TRUE(client.Connect(options.socket_path).ok());
   for (const char* plan : {"cold plan", "hot plan", "hot plan"}) {
