@@ -85,8 +85,7 @@ constexpr char kUsage[] =
     "  client-side; daemon-served encode output is byte-identical to\n"
     "  `popp encode` with the same flags. Encode replies mirror the\n"
     "  request framing: a CSV input yields the CLI's CSV, a popp-cols\n"
-    "  input yields the release as popp-cols (~50x cheaper to\n"
-    "  serialize).\n"
+    "  input yields the same release as popp-cols.\n"
     "\n"
     "every command also accepts --threads N (default 1 = serial; 0 = all\n"
     "hardware threads). Results are bit-identical for every N.\n"
