@@ -755,8 +755,7 @@ bool ColsView::AllFinite() const {
   return finite;
 }
 
-std::string ColsView::SerializeMapped(const ColumnMap& map,
-                                      ColsStats* stats) const {
+std::string ColsView::SerializeMapped(const ColumnMap& map) const {
   ContainerWriter writer(schema_);
   std::string& out = writer.out();
   const uint8_t label_width = AppendLabelHeader(out, schema_.NumClasses());
@@ -782,7 +781,7 @@ std::string ColsView::SerializeMapped(const ColumnMap& map,
     }
     writer.CloseExtent(kind, static_cast<uint32_t>(a));
   }
-  return writer.Finish(num_rows_, stats);
+  return writer.Finish(num_rows_, nullptr);
 }
 
 Result<Dataset> ParseCols(std::string_view bytes) {

@@ -111,6 +111,8 @@ class ColsView {
   size_t num_attributes() const { return columns_.size(); }
   /// True if attribute `attr` is dictionary-encoded.
   bool is_dict(size_t attr) const { return columns_[attr].dict; }
+  /// The number of entries in attribute `attr`'s dictionary (0 if raw).
+  size_t dict_size(size_t attr) const { return columns_[attr].dict_size; }
 
   /// Copies rows [begin, end) into a Dataset carrying the full schema.
   /// Requires begin <= end <= num_rows().
@@ -127,8 +129,7 @@ class ColsView {
   /// each, deduplicates their images by bit pattern and rewrites the row
   /// codes; a raw column maps every row. Labels are re-emitted at the
   /// width SerializeCols uses, whatever width this container stores.
-  std::string SerializeMapped(const ColumnMap& map,
-                              ColsStats* stats = nullptr) const;
+  std::string SerializeMapped(const ColumnMap& map) const;
 
  private:
   struct ColumnView {

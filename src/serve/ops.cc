@@ -176,47 +176,48 @@ Result<Dataset> ParseRequestDataset(const std::string& bytes) {
   return data;
 }
 
-/// Fits the plan for `data` and caches it under `key`. Must be called
-/// under the workspace lock.
-const CachedPlan* FitPlan(Workspace& workspace, const PlanKey& key,
-                          const Dataset& data, const OpOptions& options) {
+/// Fetches the tenant's plan for (schema, seed, policy), fitting it on
+/// `rows()` and caching it on a miss; `rows` is called only on a miss.
+/// Must be called under the workspace lock. The bool reports whether the
+/// plan was served hot.
+template <typename Rows>
+std::pair<const CachedPlan*, bool> GetOrFitPlan(Workspace& workspace,
+                                                const Schema& schema,
+                                                const Rows& rows,
+                                                const OpOptions& options) {
+  const PlanKey key = PlanKey::Make(schema, options.seed, options.transform);
+  if (const CachedPlan* hit = workspace.cache().Lookup(key)) {
+    return {hit, true};
+  }
   // The exact CLI fitting sequence: a fresh Rng seeded with the request
   // seed, consumed only by plan creation — byte-identical to `popp
   // encode --seed N` at every thread count.
   Rng rng(options.seed);
   CachedPlan cached;
   cached.plan =
-      TransformPlan::Create(data, options.transform, rng, options.exec);
+      TransformPlan::Create(rows(), options.transform, rng, options.exec);
   cached.compiled = CompiledPlan::Compile(cached.plan);
-  return workspace.cache().Insert(key, std::move(cached));
+  return {workspace.cache().Insert(key, std::move(cached)), false};
 }
 
-/// Fetches the tenant's plan for (data's schema, seed, policy), fitting
-/// and caching on a miss. Must be called under the workspace lock. The
-/// bool reports whether the plan was served hot.
+/// GetOrFitPlan for a parsed request dataset.
 std::pair<const CachedPlan*, bool> GetOrFitPlan(Workspace& workspace,
                                                 const Dataset& data,
                                                 const OpOptions& options) {
-  const PlanKey key =
-      PlanKey::Make(data.schema(), options.seed, options.transform);
-  if (const CachedPlan* hit = workspace.cache().Lookup(key)) {
-    return {hit, true};
-  }
-  return {FitPlan(workspace, key, data, options), false};
+  return GetOrFitPlan(
+      workspace, data.schema(), [&]() -> const Dataset& { return data; },
+      options);
 }
 
-/// The encode reply text, for either framing.
+/// The encode reply text; `framing` is "csv" or "cols".
 std::string EncodedText(size_t rows, size_t attributes, bool hot,
-                        bool cols_framed) {
+                        const char* framing) {
   return "encoded " + std::to_string(rows) + " rows x " +
          std::to_string(attributes) + " attributes (" +
-         (hot ? "hot" : "cold") + " plan, " + (cols_framed ? "cols" : "csv") +
-         " reply)";
+         (hot ? "hot" : "cold") + " plan, " + framing + " reply)";
 }
 
-/// Encodes a validated popp-cols request whose stored values are all
-/// finite straight from its view: the same phases, cache lookups and
-/// bytes as the materialized composition in OpEncode. A plan-cache hit
+/// Encodes a popp-cols request from its validated view. A plan-cache hit
 /// builds no Dataset; a miss materializes the rows once, for the fit.
 ReplyBody EncodeColsView(Workspace& workspace, const ColsView& view,
                          const OpOptions& options,
@@ -226,14 +227,9 @@ ReplyBody EncodeColsView(Workspace& workspace, const ColsView& view,
   }
   std::lock_guard<std::mutex> lock(workspace.mutex());
   ++workspace.requests_served;
-  const PlanKey key =
-      PlanKey::Make(view.schema(), options.seed, options.transform);
-  const CachedPlan* cached = workspace.cache().Lookup(key);
-  const bool hot = cached != nullptr;
-  if (!hot) {
-    cached = FitPlan(workspace, key, view.MaterializeRows(0, view.num_rows()),
-                     options);
-  }
+  const auto [cached, hot] = GetOrFitPlan(
+      workspace, view.schema(),
+      [&] { return view.MaterializeRows(0, view.num_rows()); }, options);
   if (auto late = DeadlineReply(context, "after the plan fit")) {
     return *late;
   }
@@ -246,7 +242,7 @@ ReplyBody EncodeColsView(Workspace& workspace, const ColsView& view,
     return *late;
   }
   return ReplyBody::Ok(
-      EncodedText(view.num_rows(), view.num_attributes(), hot, true),
+      EncodedText(view.num_rows(), view.num_attributes(), hot, "cols"),
       std::move(released));
 }
 
@@ -302,16 +298,18 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
   // CSV that `popp encode` would write. Each attribute's transform is a
   // function of the value alone, so a popp-cols release needs only the
   // image of each dictionary entry some row uses and the same row codes,
-  // re-ranked. A container holding a non-finite value, used or not, takes
-  // the materialized path below, which refuses it if a row uses it.
-  const bool cols_framed = LooksLikeCols(request.dataset);
-  if (cols_framed) {
+  // re-ranked.
+  if (LooksLikeCols(request.dataset)) {
     auto view = ColsView::Open(request.dataset);
     if (!view.ok()) return ReplyBody::Error(view.status());
-    if (view.value().AllFinite()) {
-      return EncodeColsView(workspace, view.value(), options.value(),
-                            context);
+    // A non-finite value some row uses is refused in the words of the
+    // parse every other op runs; one held only by an unused dictionary
+    // entry is never mapped, so the request is encoded.
+    if (!view.value().AllFinite()) {
+      auto refused = ParseRequestDataset(request.dataset);
+      if (!refused.ok()) return ReplyBody::Error(refused.status());
     }
+    return EncodeColsView(workspace, view.value(), options.value(), context);
   }
   auto data = ParseRequestDataset(request.dataset);
   if (!data.ok()) return ReplyBody::Error(data.status());
@@ -332,9 +330,8 @@ ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
     return *late;
   }
   return ReplyBody::Ok(EncodedText(released.NumRows(),
-                                   released.NumAttributes(), hot, cols_framed),
-                       cols_framed ? SerializeCols(released)
-                                   : ToCsvString(released));
+                                   released.NumAttributes(), hot, "csv"),
+                       ToCsvString(released));
 }
 
 ReplyBody OpDecode(Workspace& workspace, const RequestBody& request,
