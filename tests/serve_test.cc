@@ -254,26 +254,155 @@ TEST(WorkspaceRegistryTest, StablePerTenantWorkspaces) {
   EXPECT_EQ(b->cache().stats().evictions, 0u);
 }
 
+/// The ops that carry a dataset (every registered op but stats).
+constexpr Tag kDatasetOps[] = {Tag::kFit, Tag::kEncode, Tag::kDecode,
+                               Tag::kVerify, Tag::kRisk};
+
+/// A one-leaf tree document: every plan decodes it, whatever the data.
+std::string LeafTreeDocument() {
+  DecisionTree tree;
+  tree.SetRoot(tree.AddLeaf(0));
+  return SerializeTree(tree);
+}
+
 TEST(ServeOpsTest, NumericOptionsAreStrictAndNoCompiledIsRefused) {
-  Workspace workspace("strict", 4);
-  RequestBody request;
-  request.dataset = "a,class\n1,x\n2,y\n3,x\n";
-  for (const std::string options :
-       {"seed 3x\n", "seed -1\n", "breakpoints 2abc\n", "threads \n",
-        "trials 1e3\n", "deadline-ms 5ms\n", "no-compiled\n"}) {
-    request.options = options;
-    const ReplyBody reply =
-        DispatchOp(Tag::kEncode, workspace, request, OpConfig{});
-    EXPECT_EQ(reply.code, StatusCode::kInvalidArgument) << options;
-    const std::string key = options.substr(0, options.find_first_of(" \n"));
-    EXPECT_NE(reply.text.find("'" + key + "'"), std::string::npos)
-        << reply.text;
+  for (const Tag tag : kDatasetOps) {
+    SCOPED_TRACE(TagName(tag));
+    Workspace workspace("strict", 4);
+    RequestBody request;
+    request.extra = LeafTreeDocument();
+    request.dataset = "a,class\n1,x\n2,y\n3,x\n";
+    for (const std::string options :
+         {"seed 3x\n", "seed -1\n", "breakpoints 2abc\n", "threads \n",
+          "trials 1e3\n", "deadline-ms 5ms\n", "no-compiled\n"}) {
+      request.options = options;
+      const ReplyBody reply = DispatchOp(tag, workspace, request, OpConfig{});
+      EXPECT_EQ(reply.code, StatusCode::kInvalidArgument) << options;
+      const std::string key =
+          options.substr(0, options.find_first_of(" \n"));
+      EXPECT_NE(reply.text.find("'" + key + "'"), std::string::npos)
+          << reply.text;
+    }
+    request.options = "seed 3\nbreakpoints 4\nthreads 2\ndeadline-ms 60000\n";
+    const ReplyBody reply = DispatchOp(tag, workspace, request, OpConfig{});
+    EXPECT_TRUE(reply.ok()) << reply.text;
   }
-  request.options = "seed 3\nbreakpoints 4\nthreads 2\ndeadline-ms 60000\n";
-  EXPECT_TRUE(DispatchOp(Tag::kEncode, workspace, request, OpConfig{}).ok());
   // The admission peek leaves a malformed deadline to the op's parse.
   EXPECT_EQ(ExtractDeadlineMs("deadline-ms 5ms\n"), UINT64_MAX);
   EXPECT_EQ(ExtractDeadlineMs("seed 1\ndeadline-ms 250\n"), 250u);
+}
+
+/// A dataset request every op refuses before it takes the tenant lock, and
+/// the reply it gets.
+struct RefusedRequest {
+  const char* what;
+  bool decode_only;
+  std::string options;
+  std::string extra;
+  std::string dataset;
+  StatusCode code;
+  std::string text;
+};
+
+TEST(ServeOpsTest, DatasetOpsRefuseBadInputInOrderBeforeCounting) {
+  const std::string csv = "a,b,class\n1,2,x\n3,4,y\n5,6,x\n";
+  const std::string inf_csv = "a,b,class\n1,2,x\n3,inf,y\n5,6,x\n";
+  std::string damaged = SerializeCols(ParseCsv(csv).value());
+  damaged[damaged.size() / 2] ^= 0x20;
+  const std::string inf_cols = SerializeCols(ParseCsv(inf_csv).value());
+  const std::string tree = LeafTreeDocument();
+  const std::string garbage_tree = "popp-tree v1\nsplit x\n";
+  const std::string non_finite =
+      "INVALID_ARGUMENT: non-finite value at row 2: attribute 'b' = inf "
+      "(only finite numbers can be encoded)";
+  // Each request also carries every fault checked after its own, and
+  // every request is sent past its deadline, so each reply names the first
+  // fault in the order options, decode's tree, dataset bytes, finite
+  // values, deadline.
+  const RefusedRequest cases[] = {
+      {"malformed option", false, "seed x\n", "", "",
+       StatusCode::kInvalidArgument,
+       "INVALID_ARGUMENT: request option 'seed' needs an unsigned decimal "
+       "integer, got 'x'"},
+      {"no tree", true, "seed 2\n", "", "", StatusCode::kInvalidArgument,
+       "INVALID_ARGUMENT: decode needs the mined tree document in the "
+       "request's extra section"},
+      {"garbage tree", true, "seed 2\n", garbage_tree, "",
+       ParseTree(garbage_tree).status().code(),
+       ParseTree(garbage_tree).status().ToString()},
+      {"no dataset bytes", false, "seed 2\n", tree, "",
+       StatusCode::kInvalidArgument,
+       "INVALID_ARGUMENT: request carries no dataset bytes"},
+      {"damaged popp-cols", false, "seed 2\n", tree, damaged,
+       StatusCode::kDataLoss, ParseCols(damaged).status().ToString()},
+      {"inf in a CSV", false, "seed 2\n", tree, inf_csv,
+       StatusCode::kInvalidArgument, non_finite},
+      {"inf in popp-cols", false, "seed 2\n", tree, inf_cols,
+       StatusCode::kInvalidArgument, non_finite},
+      {"expired deadline", false, "seed 2\n", tree, csv,
+       StatusCode::kUnavailable,
+       "UNAVAILABLE: deadline exceeded after parsing the request; the "
+       "request was abandoned at this phase boundary"},
+  };
+  ASSERT_FALSE(ParseTree(garbage_tree).ok());
+  RequestContext expired;
+  expired.deadline = resil::Deadline::After(0);
+  Workspace workspace("ops", 4);
+  for (const Tag tag : kDatasetOps) {
+    for (const RefusedRequest& c : cases) {
+      if (c.decode_only && tag != Tag::kDecode) continue;
+      SCOPED_TRACE(std::string(TagName(tag)) + ": " + c.what);
+      RequestBody request;
+      request.options = c.options;
+      request.extra = c.extra;
+      request.dataset = c.dataset;
+      const ReplyBody reply =
+          DispatchOp(tag, workspace, request, OpConfig{}, expired);
+      EXPECT_EQ(reply.code, c.code);
+      EXPECT_EQ(reply.text, c.text);
+      EXPECT_TRUE(reply.body.empty());
+      // Refused before the lock: not served, no cache lookup.
+      EXPECT_EQ(workspace.requests_served, 0u);
+      EXPECT_EQ(workspace.cache().stats().hits, 0u);
+      EXPECT_EQ(workspace.cache().stats().misses, 0u);
+    }
+  }
+
+  // Served requests count; fit, encode and decode look the plan up once
+  // each, verify and risk never.
+  for (const Tag tag : kDatasetOps) {
+    RequestBody request;
+    request.options = "seed 2\ntrials 2\n";
+    request.extra = tree;
+    request.dataset = csv;
+    const ReplyBody reply = DispatchOp(tag, workspace, request, OpConfig{});
+    EXPECT_TRUE(reply.ok()) << TagName(tag) << ": " << reply.text;
+  }
+  EXPECT_EQ(workspace.requests_served, 5u);
+  EXPECT_EQ(workspace.cache().stats().misses, 1u);
+  EXPECT_EQ(workspace.cache().stats().hits, 2u);
+
+  // stats ignores its options section, however malformed.
+  RequestBody stats;
+  stats.options = "seed x\nfrobnicate\n";
+  const ReplyBody reply =
+      DispatchOp(Tag::kStats, workspace, stats, OpConfig{}, expired);
+  ASSERT_TRUE(reply.ok()) << reply.text;
+  EXPECT_EQ(reply.text, "stats for tenant 'ops'");
+  EXPECT_NE(reply.body.find("requests_served: 6\n"), std::string::npos)
+      << reply.body;
+  EXPECT_EQ(workspace.cache().stats().hits, 2u);
+
+  // Lifecycle and liveness tags are the server's, not ops.
+  for (const Tag tag : {Tag::kShutdown, Tag::kReply, Tag::kHealth}) {
+    const ReplyBody unknown =
+        DispatchOp(tag, workspace, RequestBody{}, OpConfig{});
+    EXPECT_EQ(unknown.code, StatusCode::kInvalidArgument);
+    EXPECT_EQ(unknown.text, "INVALID_ARGUMENT: request tag " +
+                                std::to_string(static_cast<int>(tag)) +
+                                " is not a registered operation");
+  }
+  EXPECT_EQ(workspace.requests_served, 6u);
 }
 
 // ---------------------------------------------------------------------------
