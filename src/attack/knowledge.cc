@@ -55,7 +55,8 @@ std::vector<KnowledgePoint> SampleKnowledgePointsImpl(
     const AttrValue truth = sample_location();
     KnowledgePoint kp;
     kp.transformed = transform.Apply(truth);
-    kp.guessed_original = truth + rng.Uniform(-rho, rho);
+    // At rho = 0 (one distinct value) a good point guesses the truth.
+    kp.guessed_original = truth + (rho > 0.0 ? rng.Uniform(-rho, rho) : 0.0);
     points.push_back(kp);
   }
   for (size_t k = 0; k < options.num_bad; ++k) {
@@ -63,8 +64,10 @@ std::vector<KnowledgePoint> SampleKnowledgePointsImpl(
     KnowledgePoint kp;
     kp.transformed = transform.Apply(truth);
     const double side = rng.Bernoulli(0.5) ? 1.0 : -1.0;
-    // Strictly worse than 5 rho (Definition of a bad KP in Section 6.1).
-    const double miss = rng.Uniform(5.0 * rho, 15.0 * rho) + 1e-9;
+    // Strictly worse than 5 rho (Definition of a bad KP in Section 6.1);
+    // at rho = 0 it misses by the margin alone.
+    const double miss =
+        (rho > 0.0 ? rng.Uniform(5.0 * rho, 15.0 * rho) : 0.0) + 1e-9;
     kp.guessed_original = truth + side * miss;
     points.push_back(kp);
   }

@@ -248,16 +248,12 @@ std::optional<PiecewiseOptions> TransformFlags(const ParsedArgs& args,
   PiecewiseOptions options;
   auto it = args.flags.find("policy");
   if (it != args.flags.end()) {
-    if (it->second == "none") {
-      options.policy = BreakpointPolicy::kNone;
-    } else if (it->second == "bp") {
-      options.policy = BreakpointPolicy::kChooseBP;
-    } else if (it->second == "maxmp") {
-      options.policy = BreakpointPolicy::kChooseMaxMP;
-    } else {
-      err << "unknown --policy '" << it->second << "'\n";
+    auto policy = ParseBreakpointPolicy(it->second);
+    if (!policy.ok()) {
+      err << policy.status().ToString() << "\n";
       return std::nullopt;
     }
+    options.policy = policy.value();
   }
   options.min_breakpoints = FlagInt(args, "breakpoints", 20);
   options.global_anti_monotone = args.flags.count("anti") > 0;
@@ -276,7 +272,7 @@ Result<stream::DatasetFormat> FormatFlag(const ParsedArgs& args,
 
 /// Loads a whole dataset honoring the command's --format flag (auto-sniffs
 /// by default, so existing CSV invocations keep working unchanged), and
-/// refuses non-finite values.
+/// refuses a dataset with no rows or with non-finite values.
 Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
   auto requested = FormatFlag(args, "format");
   if (!requested.ok()) return requested.status();
@@ -285,7 +281,11 @@ Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
   Result<Dataset> data = format.value() == stream::DatasetFormat::kCols
                              ? ReadCols(path)
                              : ReadCsv(path);
-  if (data.ok()) POPP_RETURN_IF_ERROR(CheckFiniteValues(data.value()));
+  if (!data.ok()) return data;
+  if (data.value().NumRows() == 0) {
+    return Status::InvalidArgument("'" + path + "' has no data rows");
+  }
+  POPP_RETURN_IF_ERROR(CheckFiniteValues(data.value()));
   return data;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -29,9 +30,6 @@ struct OpOptions {
   ExecPolicy exec;
   size_t trials = 31;
   std::string save_path;
-  /// Parsed for validation only: the server anchors the deadline at frame
-  /// receipt (ExtractDeadlineMs) and threads it in via RequestContext.
-  uint64_t deadline_ms = UINT64_MAX;
 };
 
 Result<OpOptions> ParseOptions(const std::string& text,
@@ -57,15 +55,9 @@ Result<OpOptions> ParseOptions(const std::string& text,
       if (!numeric) return not_a_number();
       options.seed = number;
     } else if (key == "policy") {
-      if (value == "none") {
-        options.transform.policy = BreakpointPolicy::kNone;
-      } else if (value == "bp") {
-        options.transform.policy = BreakpointPolicy::kChooseBP;
-      } else if (value == "maxmp") {
-        options.transform.policy = BreakpointPolicy::kChooseMaxMP;
-      } else {
-        return Status::InvalidArgument("unknown policy '" + value + "'");
-      }
+      auto policy = ParseBreakpointPolicy(value);
+      if (!policy.ok()) return policy.status();
+      options.transform.policy = policy.value();
     } else if (key == "breakpoints") {
       if (!numeric) return not_a_number();
       options.transform.min_breakpoints = number;
@@ -90,8 +82,9 @@ Result<OpOptions> ParseOptions(const std::string& text,
     } else if (key == "save") {
       options.save_path = value;
     } else if (key == "deadline-ms") {
+      // Checked only: the server anchors the deadline at frame receipt
+      // (ExtractDeadlineMs) and threads it in via RequestContext.
       if (!numeric) return not_a_number();
-      options.deadline_ms = number;
     } else {
       return Status::InvalidArgument("unknown request option '" + key + "'");
     }
@@ -151,318 +144,274 @@ Result<std::string> ResolveSavePath(const OpConfig& config,
   return full.string();
 }
 
-/// Phase-boundary deadline check: a non-null return is the kUnavailable
-/// reply to send instead of doing any more work. `phase` names the
-/// boundary for the diagnostic ("after parse", "before save", ...).
-std::optional<ReplyBody> DeadlineReply(const RequestContext& context,
-                                       const char* phase) {
-  if (!context.deadline.Expired()) return std::nullopt;
-  return ReplyBody::Error(Status::Unavailable(
+/// Phase-boundary deadline check: kUnavailable once the deadline has
+/// passed, so the op does no more work. `phase` names the boundary for the
+/// diagnostic ("after parsing the request", "after the encode", ...).
+Status CheckDeadline(const RequestContext& context, const char* phase) {
+  if (!context.deadline.Expired()) return Status::Ok();
+  return Status::Unavailable(
       std::string("deadline exceeded ") + phase +
-      "; the request was abandoned at this phase boundary"));
+      "; the request was abandoned at this phase boundary");
 }
 
-/// Parses the request's dataset bytes, sniffing the popp-cols magic so the
-/// binary container takes the zero-copy validation path and anything else
-/// goes through the incremental CSV tokenizer, and refuses non-finite
-/// values.
-Result<Dataset> ParseRequestDataset(const std::string& bytes) {
-  if (bytes.empty()) {
+/// One dataset request, parsed outside the tenant lock.
+struct OpRequest {
+  OpOptions options;
+  DecisionTree tree;             ///< decode's mined tree
+  std::optional<ColsView> cols;  ///< a popp-cols dataset, as its view
+  std::optional<Dataset> data;   ///< the rows, once materialized
+
+  const Schema& schema() const {
+    return cols ? cols->schema() : data->schema();
+  }
+  size_t num_rows() const { return cols ? cols->num_rows() : data->NumRows(); }
+  /// The rows; a popp-cols view is materialized on first use, once.
+  const Dataset& Rows() {
+    if (!data) data = cols->MaterializeRows(0, cols->num_rows());
+    return *data;
+  }
+};
+
+/// Parses a dataset request. Faults are refused in the order options,
+/// decode's tree, dataset bytes, non-finite values.
+Result<OpRequest> ParseRequest(Tag tag, const RequestBody& body,
+                               const OpConfig& config) {
+  OpRequest request;
+  auto options = ParseOptions(body.options, config);
+  if (!options.ok()) return options.status();
+  request.options = std::move(options).value();
+  if (tag == Tag::kDecode) {
+    if (body.extra.empty()) {
+      return Status::InvalidArgument(
+          "decode needs the mined tree document in the request's extra "
+          "section");
+    }
+    auto tree = ParseTree(body.extra);
+    if (!tree.ok()) return tree.status();
+    request.tree = std::move(tree).value();
+  }
+  if (body.dataset.empty()) {
     return Status::InvalidArgument("request carries no dataset bytes");
   }
-  Result<Dataset> data = LooksLikeCols(bytes) ? ParseCols(bytes)
-                                              : ParseCsv(bytes);
-  if (data.ok()) POPP_RETURN_IF_ERROR(CheckFiniteValues(data.value()));
-  return data;
+  // A popp-cols dataset (sniffed by its magic) is validated in place;
+  // encode keeps the view and maps it without building a Dataset, every
+  // other op materializes the rows here. Anything else is CSV.
+  if (LooksLikeCols(body.dataset)) {
+    auto view = ColsView::Open(body.dataset);
+    if (!view.ok()) return view.status();
+    request.cols = std::move(view).value();
+    if (tag != Tag::kEncode) request.Rows();
+  } else {
+    auto data = ParseCsv(body.dataset);
+    if (!data.ok()) return data.status();
+    request.data = std::move(data).value();
+  }
+  // Only finite values can be fitted or encoded. A kept view whose stored
+  // values are all finite needs no row check; otherwise its rows are
+  // checked, since a non-finite value that only an unused dictionary entry
+  // holds is never mapped.
+  if (request.data || !request.cols->AllFinite()) {
+    POPP_RETURN_IF_ERROR(CheckFiniteValues(request.Rows()));
+  }
+  return request;
 }
 
-/// Fetches the tenant's plan for (schema, seed, policy), fitting it on
-/// `rows()` and caching it on a miss; `rows` is called only on a miss.
-/// Must be called under the workspace lock. The bool reports whether the
-/// plan was served hot.
-template <typename Rows>
-std::pair<const CachedPlan*, bool> GetOrFitPlan(Workspace& workspace,
-                                                const Schema& schema,
-                                                const Rows& rows,
-                                                const OpOptions& options) {
-  const PlanKey key = PlanKey::Make(schema, options.seed, options.transform);
+/// A fit needs rows: no plan can be fitted on an empty dataset.
+Status CheckRowsToFit(const OpRequest& request) {
+  if (request.num_rows() > 0) return Status::Ok();
+  return Status::InvalidArgument(
+      "request dataset has no data rows to fit on");
+}
+
+/// The tenant's plan for the request's (schema, seed, policy): looked up
+/// once, and on a miss fitted on the request's rows and cached. The plan
+/// cache's one fit point; runs under the workspace lock. The bool reports
+/// whether the plan was served hot.
+Result<std::pair<const CachedPlan*, bool>> GetOrFitPlan(Workspace& workspace,
+                                                        OpRequest& request) {
+  const OpOptions& options = request.options;
+  const PlanKey key =
+      PlanKey::Make(request.schema(), options.seed, options.transform);
   if (const CachedPlan* hit = workspace.cache().Lookup(key)) {
-    return {hit, true};
+    return std::pair{hit, true};
   }
+  POPP_RETURN_IF_ERROR(CheckRowsToFit(request));
   // The exact CLI fitting sequence: a fresh Rng seeded with the request
   // seed, consumed only by plan creation — byte-identical to `popp
   // encode --seed N` at every thread count.
   Rng rng(options.seed);
   CachedPlan cached;
-  cached.plan =
-      TransformPlan::Create(rows(), options.transform, rng, options.exec);
+  cached.plan = TransformPlan::Create(request.Rows(), options.transform, rng,
+                                      options.exec);
   cached.compiled = CompiledPlan::Compile(cached.plan);
-  return {workspace.cache().Insert(key, std::move(cached)), false};
+  return std::pair{workspace.cache().Insert(key, std::move(cached)), false};
 }
 
-/// GetOrFitPlan for a parsed request dataset.
-std::pair<const CachedPlan*, bool> GetOrFitPlan(Workspace& workspace,
-                                                const Dataset& data,
-                                                const OpOptions& options) {
-  return GetOrFitPlan(
-      workspace, data.schema(), [&]() -> const Dataset& { return data; },
-      options);
+/// The custodian a verify or risk request runs. It takes the request's
+/// rows and fits its own plan on them, outside the plan cache.
+Result<std::unique_ptr<Custodian>> MakeCustodian(OpRequest& request) {
+  POPP_RETURN_IF_ERROR(CheckRowsToFit(request));
+  CustodianOptions options;
+  options.seed = request.options.seed;
+  options.transform = request.options.transform;
+  options.exec = request.options.exec;
+  return std::make_unique<Custodian>(std::move(*request.data), options);
 }
 
-/// The encode reply text; `framing` is "csv" or "cols".
-std::string EncodedText(size_t rows, size_t attributes, bool hot,
-                        const char* framing) {
-  return "encoded " + std::to_string(rows) + " rows x " +
-         std::to_string(attributes) + " attributes (" +
-         (hot ? "hot" : "cold") + " plan, " + framing + " reply)";
-}
-
-/// Encodes a popp-cols request from its validated view. A plan-cache hit
-/// builds no Dataset; a miss materializes the rows once, for the fit.
-ReplyBody EncodeColsView(Workspace& workspace, const ColsView& view,
-                         const OpOptions& options,
-                         const RequestContext& context) {
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  const auto [cached, hot] = GetOrFitPlan(
-      workspace, view.schema(),
-      [&] { return view.MaterializeRows(0, view.num_rows()); }, options);
-  if (auto late = DeadlineReply(context, "after the plan fit")) {
-    return *late;
-  }
-  const CompiledPlan& compiled = cached->compiled;
-  std::string released = view.SerializeMapped(
-      [&](size_t attr, const AttrValue* in, AttrValue* out, size_t n) {
-        compiled.EncodeColumn(attr, in, out, n, options.exec);
-      });
-  if (auto late = DeadlineReply(context, "after the encode")) {
-    return *late;
-  }
-  return ReplyBody::Ok(
-      EncodedText(view.num_rows(), view.num_attributes(), hot, "cols"),
-      std::move(released));
-}
-
-ReplyBody OpFit(Workspace& workspace, const RequestBody& request,
-                const OpConfig& config, const RequestContext& context) {
-  auto options = ParseOptions(request.options, config);
-  if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
-  if (!data.ok()) return ReplyBody::Error(data.status());
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  const auto [cached, hot] = GetOrFitPlan(workspace, data.value(),
-                                          options.value());
+Result<ReplyBody> Fit(Workspace& workspace, OpRequest& request,
+                      const OpConfig& config, const RequestContext& context) {
+  const auto plan = GetOrFitPlan(workspace, request);
+  if (!plan.ok()) return plan.status();
+  const auto [cached, hot] = plan.value();
   const std::string document = SerializePlan(cached->plan);
-  if (auto late = DeadlineReply(context, "after fitting the plan")) {
-    return *late;
-  }
-  if (!options.value().save_path.empty()) {
-    auto target = ResolveSavePath(config, workspace.name(),
-                                  options.value().save_path);
-    if (!target.ok()) return ReplyBody::Error(target.status());
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after fitting the plan"));
+  const OpOptions& options = request.options;
+  if (!options.save_path.empty()) {
+    auto target = ResolveSavePath(config, workspace.name(), options.save_path);
+    if (!target.ok()) return target.status();
     // Artifact persistence goes through the hardened atomic writer
     // (SavePlan stages in <path>.tmp and renames), so a daemon killed
     // mid-save never leaves a partial key under the final name.
-    const Status saved = SavePlan(cached->plan, target.value());
-    if (!saved.ok()) return ReplyBody::Error(saved);
+    POPP_RETURN_IF_ERROR(SavePlan(cached->plan, target.value()));
     // A save that out-waited the deadline still produced a complete,
     // atomic artifact — but the client has moved on: tell it so.
-    if (auto late = DeadlineReply(context, "after the server-side save")) {
-      return *late;
-    }
+    POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the server-side save"));
   }
-  const PlanKey key = PlanKey::Make(data.value().schema(),
-                                    options.value().seed,
-                                    options.value().transform);
+  const PlanKey key =
+      PlanKey::Make(request.schema(), options.seed, options.transform);
+  return ReplyBody::Ok(std::string(hot ? "cached" : "fitted") + " plan " +
+                           key.Render() + " (" +
+                           std::to_string(request.schema().NumAttributes()) +
+                           " attributes)",
+                       document);
+}
+
+/// The reply mirrors the request framing: a popp-cols request gets the
+/// popp-cols container of the release, a CSV request the byte-identical
+/// CSV that `popp encode` would write. Each attribute's transform is a
+/// function of the value alone, so a popp-cols release needs only the
+/// image of each dictionary entry some row uses and the same row codes,
+/// re-ranked; a plan-cache hit builds no Dataset.
+Result<ReplyBody> Encode(Workspace& workspace, OpRequest& request,
+                         const OpConfig&, const RequestContext& context) {
+  const auto plan = GetOrFitPlan(workspace, request);
+  if (!plan.ok()) return plan.status();
+  const auto [cached, hot] = plan.value();
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the plan fit"));
+  const CompiledPlan& compiled = cached->compiled;
+  const ExecPolicy& exec = request.options.exec;
+  const auto text = [&](size_t rows, size_t attributes, const char* framing) {
+    return "encoded " + std::to_string(rows) + " rows x " +
+           std::to_string(attributes) + " attributes (" +
+           (hot ? "hot" : "cold") + " plan, " + framing + " reply)";
+  };
+  if (request.cols) {
+    const ColsView& view = *request.cols;
+    std::string released = view.SerializeMapped(
+        [&](size_t attr, const AttrValue* in, AttrValue* out, size_t n) {
+          compiled.EncodeColumn(attr, in, out, n, exec);
+        });
+    POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the encode"));
+    return ReplyBody::Ok(
+        text(view.num_rows(), view.num_attributes(), "cols"),
+        std::move(released));
+  }
+  const Dataset released = compiled.EncodeDataset(*request.data, exec);
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the encode"));
   return ReplyBody::Ok(
-      std::string(hot ? "cached" : "fitted") + " plan " + key.Render() +
-          " (" + std::to_string(data.value().NumAttributes()) +
-          " attributes)",
-      document);
+      text(released.NumRows(), released.NumAttributes(), "csv"),
+      ToCsvString(released));
 }
 
-ReplyBody OpEncode(Workspace& workspace, const RequestBody& request,
-                   const OpConfig& config, const RequestContext& context) {
-  auto options = ParseOptions(request.options, config);
-  if (!options.ok()) return ReplyBody::Error(options.status());
-  // The reply mirrors the request framing: a popp-cols request gets the
-  // popp-cols container of the release, a CSV request the byte-identical
-  // CSV that `popp encode` would write. Each attribute's transform is a
-  // function of the value alone, so a popp-cols release needs only the
-  // image of each dictionary entry some row uses and the same row codes,
-  // re-ranked.
-  if (LooksLikeCols(request.dataset)) {
-    auto view = ColsView::Open(request.dataset);
-    if (!view.ok()) return ReplyBody::Error(view.status());
-    // A non-finite value some row uses is refused in the words of the
-    // parse every other op runs; one held only by an unused dictionary
-    // entry is never mapped, so the request is encoded.
-    if (!view.value().AllFinite()) {
-      auto refused = ParseRequestDataset(request.dataset);
-      if (!refused.ok()) return ReplyBody::Error(refused.status());
-    }
-    return EncodeColsView(workspace, view.value(), options.value(), context);
-  }
-  auto data = ParseRequestDataset(request.dataset);
-  if (!data.ok()) return ReplyBody::Error(data.status());
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  const auto [cached, hot] = GetOrFitPlan(workspace, data.value(),
-                                          options.value());
-  if (auto late = DeadlineReply(context, "after the plan fit")) {
-    return *late;
-  }
-  const Dataset released =
-      cached->compiled.EncodeDataset(data.value(), options.value().exec);
-  if (auto late = DeadlineReply(context, "after the encode")) {
-    return *late;
-  }
-  return ReplyBody::Ok(EncodedText(released.NumRows(),
-                                   released.NumAttributes(), hot, "csv"),
-                       ToCsvString(released));
-}
-
-ReplyBody OpDecode(Workspace& workspace, const RequestBody& request,
-                   const OpConfig& config, const RequestContext& context) {
-  auto options = ParseOptions(request.options, config);
-  if (!options.ok()) return ReplyBody::Error(options.status());
-  if (request.extra.empty()) {
-    return ReplyBody::Error(Status::InvalidArgument(
-        "decode needs the mined tree document in the request's extra "
-        "section"));
-  }
-  auto tree = ParseTree(request.extra);
-  if (!tree.ok()) return ReplyBody::Error(tree.status());
-  auto data = ParseRequestDataset(request.dataset);
-  if (!data.ok()) return ReplyBody::Error(data.status());
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  const auto [cached, hot] = GetOrFitPlan(workspace, data.value(),
-                                          options.value());
+Result<ReplyBody> Decode(Workspace& workspace, OpRequest& request,
+                         const OpConfig&, const RequestContext& context) {
+  const auto plan = GetOrFitPlan(workspace, request);
+  if (!plan.ok()) return plan.status();
+  const auto [cached, hot] = plan.value();
   auto decoded =
-      TryDecodeTreeWithData(tree.value(), cached->plan, data.value());
-  if (!decoded.ok()) return ReplyBody::Error(decoded.status());
-  if (auto late = DeadlineReply(context, "after the decode")) {
-    return *late;
-  }
+      TryDecodeTreeWithData(request.tree, cached->plan, request.Rows());
+  if (!decoded.ok()) return decoded.status();
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the decode"));
   return ReplyBody::Ok("decoded tree (" +
                            std::to_string(decoded.value().NumLeaves()) +
                            " leaves, " + (hot ? "hot" : "cold") + " plan)",
                        SerializeTree(decoded.value()));
 }
 
-ReplyBody OpVerify(Workspace& workspace, const RequestBody& request,
-                   const OpConfig& config, const RequestContext& context) {
-  auto options = ParseOptions(request.options, config);
-  if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
-  if (!data.ok()) return ReplyBody::Error(data.status());
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  CustodianOptions custodian_options;
-  custodian_options.seed = options.value().seed;
-  custodian_options.transform = options.value().transform;
-  custodian_options.exec = options.value().exec;
-  const Custodian custodian(std::move(data).value(), custodian_options);
+Result<ReplyBody> Verify(Workspace&, OpRequest& request, const OpConfig&,
+                         const RequestContext& context) {
+  auto custodian = MakeCustodian(request);
+  if (!custodian.ok()) return custodian.status();
   std::string detail;
-  const bool ok = custodian.VerifyNoOutcomeChange(&detail);
-  if (auto late = DeadlineReply(context, "after the verification")) {
-    return *late;
-  }
+  const bool ok = custodian.value()->VerifyNoOutcomeChange(&detail);
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the verification"));
   return ReplyBody::Ok(ok ? "no-outcome-change: VERIFIED"
                           : "no-outcome-change: FAILED",
                        detail);
 }
 
-ReplyBody OpRisk(Workspace& workspace, const RequestBody& request,
-                 const OpConfig& config, const RequestContext& context) {
-  auto options = ParseOptions(request.options, config);
-  if (!options.ok()) return ReplyBody::Error(options.status());
-  auto data = ParseRequestDataset(request.dataset);
-  if (!data.ok()) return ReplyBody::Error(data.status());
-  if (auto late = DeadlineReply(context, "after parsing the request")) {
-    return *late;
-  }
-
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  CustodianOptions custodian_options;
-  custodian_options.seed = options.value().seed;
-  custodian_options.transform = options.value().transform;
-  custodian_options.exec = options.value().exec;
-  const Custodian custodian(std::move(data).value(), custodian_options);
+Result<ReplyBody> Risk(Workspace&, OpRequest& request, const OpConfig&,
+                       const RequestContext& context) {
+  auto custodian = MakeCustodian(request);
+  if (!custodian.ok()) return custodian.status();
   ReportOptions report_options;
-  report_options.num_trials = options.value().trials;
-  report_options.seed = custodian_options.seed + 1;  // the CLI's discipline
-  report_options.exec = custodian_options.exec;
+  report_options.num_trials = request.options.trials;
+  report_options.seed = request.options.seed + 1;  // the CLI's discipline
+  report_options.exec = request.options.exec;
   std::string report =
-      RenderRiskReport(BuildRiskReport(custodian, report_options));
-  if (auto late = DeadlineReply(context, "after the risk report")) {
-    return *late;
-  }
+      RenderRiskReport(BuildRiskReport(*custodian.value(), report_options));
+  POPP_RETURN_IF_ERROR(CheckDeadline(context, "after the risk report"));
   return ReplyBody::Ok(
       "risk report (" + std::to_string(report_options.num_trials) +
           " trials)",
       std::move(report));
 }
 
-ReplyBody OpStats(Workspace& workspace, const RequestBody& request,
-                  const OpConfig& config, const RequestContext& context) {
-  (void)request;
-  (void)config;
-  (void)context;  // stats is cheap enough that a deadline check would only
-                  // cost a reply the client already paid for
-  std::lock_guard<std::mutex> lock(workspace.mutex());
-  ++workspace.requests_served;
-  return ReplyBody::Ok("stats for tenant '" + workspace.name() + "'",
-                       workspace.RenderStats());
-}
-
 }  // namespace
 
-const std::map<Tag, OpHandler>& OpRegistry() {
-  static const std::map<Tag, OpHandler>* registry = [] {
-    auto* m = new std::map<Tag, OpHandler>;
-    (*m)[Tag::kFit] = {TagName(Tag::kFit), OpFit};
-    (*m)[Tag::kEncode] = {TagName(Tag::kEncode), OpEncode};
-    (*m)[Tag::kDecode] = {TagName(Tag::kDecode), OpDecode};
-    (*m)[Tag::kVerify] = {TagName(Tag::kVerify), OpVerify};
-    (*m)[Tag::kRisk] = {TagName(Tag::kRisk), OpRisk};
-    (*m)[Tag::kStats] = {TagName(Tag::kStats), OpStats};
-    return m;
-  }();
-  return *registry;
-}
-
-ReplyBody DispatchOp(Tag tag, Workspace& workspace, const RequestBody& request,
+ReplyBody DispatchOp(Tag tag, Workspace& workspace, const RequestBody& body,
                      const OpConfig& config, const RequestContext& context) {
-  const auto it = OpRegistry().find(tag);
-  if (it == OpRegistry().end()) {
-    return ReplyBody::Error(Status::InvalidArgument(
-        "request tag " + std::to_string(static_cast<int>(tag)) +
-        " is not a registered operation"));
+  using Op = Result<ReplyBody> (*)(Workspace&, OpRequest&, const OpConfig&,
+                                   const RequestContext&);
+  Op op = nullptr;
+  switch (tag) {
+    case Tag::kFit:
+      op = Fit;
+      break;
+    case Tag::kEncode:
+      op = Encode;
+      break;
+    case Tag::kDecode:
+      op = Decode;
+      break;
+    case Tag::kVerify:
+      op = Verify;
+      break;
+    case Tag::kRisk:
+      op = Risk;
+      break;
+    case Tag::kStats: {
+      // Cheap enough that a deadline check would only cost a reply the
+      // client already paid for.
+      std::lock_guard<std::mutex> lock(workspace.mutex());
+      ++workspace.requests_served;
+      return ReplyBody::Ok("stats for tenant '" + workspace.name() + "'",
+                           workspace.RenderStats());
+    }
+    default:
+      return ReplyBody::Error(Status::InvalidArgument(
+          "request tag " + std::to_string(static_cast<int>(tag)) +
+          " is not a registered operation"));
   }
-  return it->second.run(workspace, request, config, context);
+  auto request = ParseRequest(tag, body, config);
+  if (!request.ok()) return ReplyBody::Error(request.status());
+  const Status late = CheckDeadline(context, "after parsing the request");
+  if (!late.ok()) return ReplyBody::Error(late);
+  std::lock_guard<std::mutex> lock(workspace.mutex());
+  ++workspace.requests_served;
+  auto reply = op(workspace, request.value(), config, context);
+  if (!reply.ok()) return ReplyBody::Error(reply.status());
+  return std::move(reply).value();
 }
 
 uint64_t ExtractDeadlineMs(const std::string& options_text) {

@@ -1,8 +1,6 @@
 #ifndef POPP_SERVE_OPS_H_
 #define POPP_SERVE_OPS_H_
 
-#include <functional>
-#include <map>
 #include <string>
 
 #include "resil/deadline.h"
@@ -10,16 +8,13 @@
 #include "serve/workspace.h"
 
 /// \file
-/// The daemon's request operations, dispatched through a tag-keyed
-/// registry (the caffe2 registry.h idiom: a static map from key to
-/// factory/handler, so adding an op is one registration and the server's
-/// connection loop never grows a switch).
+/// The daemon's request operations: fit, encode, decode, verify and risk
+/// (the dataset ops) and stats, all behind DispatchOp.
 ///
-/// Every dataset-carrying op shares the same request shape
-/// (protocol.h `RequestBody`) and the same option vocabulary, one
-/// `key value` per line. An unknown key, or a numeric value that is not
-/// whole unsigned decimal text (`seed 3x`, `seed -1`), is refused with
-/// kInvalidArgument:
+/// Every dataset op shares the same request shape (protocol.h
+/// `RequestBody`) and the same option vocabulary, one `key value` per
+/// line. An unknown key, or a numeric value that is not whole unsigned
+/// decimal text (`seed 3x`, `seed -1`), is refused with kInvalidArgument:
 ///
 ///   seed N          encoding seed                      (default 1)
 ///   policy P        none | bp | maxmp                  (default maxmp)
@@ -68,30 +63,24 @@ struct RequestContext {
   resil::Deadline deadline;
 };
 
-/// One registered operation.
-struct OpHandler {
-  /// Human name, for diagnostics (= TagName of the registered tag).
-  std::string name;
-  /// Runs the op against the tenant's workspace. Implementations lock
-  /// `workspace.mutex()` themselves around cache access; the registry
-  /// wrapper does not serialize, so independent tenants run concurrently.
-  /// Implementations re-check `context.deadline` between phases (after
-  /// request parse, after the main compute, around server-side saves) and
-  /// answer kUnavailable once it expires.
-  std::function<ReplyBody(Workspace& workspace, const RequestBody& request,
-                          const OpConfig& config,
-                          const RequestContext& context)>
-      run;
-};
-
-/// The tag -> handler registry (fit, encode, decode, verify, risk, stats).
-/// kShutdown and kHealth are intentionally absent: lifecycle and liveness
-/// belong to the server (health must answer even when admission is
-/// saturated).
-const std::map<Tag, OpHandler>& OpRegistry();
-
-/// Dispatches one request frame body. Unknown tags produce an
-/// InvalidArgument reply; a handler's reply is returned as-is.
+/// Runs one request against the tenant's workspace and returns its reply.
+///
+/// A dataset op runs one pipeline. Outside the tenant lock it parses the
+/// options, decode's tree document (the request's extra section) and the
+/// dataset, and refuses the first fault in that order, then a non-finite
+/// value some row holds. A popp-cols dataset is opened once as a view:
+/// encode keeps the view, every other op materializes its rows. Then the
+/// request is abandoned if its deadline has passed; otherwise the op runs
+/// under `workspace.mutex()`, counted in `requests_served`, and re-checks
+/// the deadline between its phases. Fit, encode and decode look the
+/// tenant's plan up once; a miss fits it on the request's rows. That fit
+/// and the custodian verify and risk build both refuse a dataset with no
+/// rows. Independent tenants run concurrently.
+///
+/// stats ignores its options and answers under the lock. kShutdown,
+/// kHealth and every other tag get an InvalidArgument reply: lifecycle and
+/// liveness belong to the server (health must answer even when admission
+/// is saturated).
 ReplyBody DispatchOp(Tag tag, Workspace& workspace, const RequestBody& request,
                      const OpConfig& config,
                      const RequestContext& context = RequestContext{});

@@ -57,8 +57,8 @@ inline constexpr uint8_t kProtocolVersion = 1;
 /// Hard ceiling a reader enforces on frame_len before allocating.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 1u << 30;
 
-/// Frame tags. Requests are dispatched through the op registry
-/// (serve/ops.h); kReply marks every server response.
+/// Frame tags. Requests are dispatched by DispatchOp (serve/ops.h);
+/// kReply marks every server response.
 enum class Tag : uint8_t {
   kFit = 1,       ///< fit (or look up) a plan; reply body = plan document
   kEncode = 2,    ///< encode a dataset; reply body = released CSV bytes

@@ -24,6 +24,13 @@ std::string ToString(BreakpointPolicy policy) {
   return "?";
 }
 
+Result<BreakpointPolicy> ParseBreakpointPolicy(const std::string& text) {
+  if (text == "none") return BreakpointPolicy::kNone;
+  if (text == "bp") return BreakpointPolicy::kChooseBP;
+  if (text == "maxmp") return BreakpointPolicy::kChooseMaxMP;
+  return Status::InvalidArgument("unknown policy '" + text + "'");
+}
+
 PiecewiseTransform::Piece::Piece(const Piece& other)
     : domain_lo(other.domain_lo),
       domain_hi(other.domain_hi),

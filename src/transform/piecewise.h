@@ -9,6 +9,7 @@
 #include "transform/families.h"
 #include "transform/function.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 /// \file
 /// The piecewise (anti-)monotone transformation of one attribute — the
@@ -33,6 +34,10 @@ enum class BreakpointPolicy {
 
 /// Returns "none", "ChooseBP" or "ChooseMaxMP".
 std::string ToString(BreakpointPolicy policy);
+
+/// Parses the spelling `--policy` and the serve `policy` option take:
+/// "none", "bp" or "maxmp".
+Result<BreakpointPolicy> ParseBreakpointPolicy(const std::string& text);
 
 /// Parameters for PiecewiseTransform::Create.
 struct PiecewiseOptions {

@@ -1291,7 +1291,11 @@ DecisionTree DecisionTreeBuilder::Build(const Dataset& data,
   if (stats != nullptr) *stats = BuildStats{};
   DecisionTree tree;
 
-  if (options_.algorithm == BuildOptions::Algorithm::kFrontier) {
+  // The frontier engine partitions rows by attribute, so a dataset with
+  // none (a popp-cols container may hold none) takes the recursive path,
+  // which makes the root its majority leaf.
+  if (options_.algorithm == BuildOptions::Algorithm::kFrontier &&
+      data.NumAttributes() > 0) {
     // The frontier engine parallelizes across the level's (node ×
     // attribute) grid, so it profits from a pool even for one attribute.
     std::unique_ptr<ThreadPool> pool;

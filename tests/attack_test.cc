@@ -77,6 +77,29 @@ TEST(KnowledgeTest, BadPointsAreBad) {
   }
 }
 
+TEST(KnowledgeTest, ConstantAttributeHasNoRadiusToDrawIn) {
+  // One distinct value makes rho 0: a good point guesses the truth and a
+  // bad one misses by the 1e-9 margin alone, instead of drawing from an
+  // empty range.
+  const auto s = AttributeSummary::FromTuples({{5.0, 0}, {5.0, 1}}, 2);
+  Rng rng(7);
+  const auto f = PiecewiseTransform::Create(s, PiecewiseOptions{}, rng);
+  KnowledgeOptions ko;
+  ko.num_good = 3;
+  ko.num_bad = 3;
+  ASSERT_EQ(CrackRadius(s, ko.radius_fraction), 0.0);
+  const auto points = SampleKnowledgePoints(s, f, ko, rng);
+  ASSERT_EQ(points.size(), 6u);
+  for (size_t k = 0; k < points.size(); ++k) {
+    EXPECT_EQ(points[k].transformed, f.Apply(5.0));
+    if (k < ko.num_good) {
+      EXPECT_EQ(points[k].guessed_original, 5.0);
+    } else {
+      EXPECT_NEAR(std::fabs(points[k].guessed_original - 5.0), 1e-9, 1e-14);
+    }
+  }
+}
+
 // -------------------------------------------------------------- curve fit --
 
 std::vector<KnowledgePoint> PointsOnLine(double slope, double intercept,

@@ -37,6 +37,23 @@ TEST(BuilderEdge, SingleRowBuildsOneLeaf) {
   EXPECT_DOUBLE_EQ(tree.Accuracy(d), 1.0);
 }
 
+TEST(BuilderEdge, NoAttributesBuildOneMajorityLeafOnEveryEngine) {
+  Dataset d(std::vector<std::string>{}, {"a", "b"});
+  for (int r = 0; r < 5; ++r) d.AddRow({}, r % 3 == 0 ? 0 : 1);
+  for (const auto algorithm : {BuildOptions::Algorithm::kFrontier,
+                               BuildOptions::Algorithm::kResort}) {
+    BuildOptions options;
+    options.algorithm = algorithm;
+    for (const size_t threads : {1, 2}) {
+      const DecisionTree tree =
+          DecisionTreeBuilder(options, ExecPolicy{threads}).Build(d);
+      ASSERT_EQ(tree.NumNodes(), 1u);
+      EXPECT_TRUE(tree.node(tree.root()).is_leaf);
+      EXPECT_EQ(tree.node(tree.root()).label, 1);
+    }
+  }
+}
+
 TEST(BuilderEdge, AllIdenticalValuesBuildOneMajorityLeaf) {
   // Every attribute constant: no boundary exists anywhere, so the root
   // must become a leaf labeled with the majority class.

@@ -392,6 +392,72 @@ TEST(CliBasicsTest, NonFiniteCellsAreRefusedNamingRowAndAttribute) {
   }
 }
 
+TEST(CliBasicsTest, DatasetWithNoRowsIsRefusedByEveryCommandThatReadsOne) {
+  // A header-only dataset has nothing to fit, mine, decode against or
+  // report on: each command refuses it (exit 1) instead of aborting.
+  const std::string empty_csv = TempPath("empty.csv");
+  const std::string empty_cols = TempPath("empty.cols");
+  const std::string data_csv = TempPath("data.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(empty_csv, "a,b,class\n").ok());
+  ASSERT_EQ(RunPopp({"convert", empty_csv, empty_cols}).code, 0);
+  ASSERT_TRUE(
+      fault::WriteFileAtomic(data_csv, "a,b,class\n1,2,x\n3,4,y\n5,6,x\n")
+          .ok());
+  // decode reads its tree and key before the data, so give it real ones.
+  const std::string key = TempPath("data.key");
+  const std::string tree = TempPath("data.tree");
+  ASSERT_EQ(RunPopp({"encode", data_csv, TempPath("released.csv"), key}).code,
+            0);
+  ASSERT_EQ(RunPopp({"mine", TempPath("released.csv"), tree}).code, 0);
+  const std::string out = TempPath("out");
+  const std::vector<std::vector<std::string>> runs = {
+      {"encode", empty_csv, out, TempPath("out.key")},
+      {"encode", empty_cols, out, TempPath("out.key")},
+      {"mine", empty_csv, out},
+      {"decode", tree, key, empty_csv, out},
+      {"verify", empty_csv},
+      {"report", empty_csv, "--trials", "3"},
+      {"harden", empty_csv, "--trials", "3"},
+  };
+  for (const std::vector<std::string>& args : runs) {
+    const std::string& path = args[0] == "decode" ? args[3] : args[1];
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << path << ": " << r.err;
+    EXPECT_NE(r.err.find("'" + path + "' has no data rows"),
+              std::string::npos)
+        << args[0] << ": " << r.err;
+  }
+}
+
+TEST(CliBasicsTest, ReportAndHardenRunOnConstantAttributes) {
+  // An attribute with one distinct value has a crack radius of 0; in a
+  // one-row dataset every attribute does.
+  const std::string constant = TempPath("constant.csv");
+  const std::string one_row = TempPath("one_row.csv");
+  ASSERT_TRUE(fault::WriteFileAtomic(
+                  constant, "a,b,class\n1,5,x\n2,5,y\n3,5,x\n4,5,y\n5,5,x\n")
+                  .ok());
+  ASSERT_TRUE(fault::WriteFileAtomic(one_row, "a,b,class\n1,5,x\n").ok());
+  for (const std::string& path : {constant, one_row}) {
+    for (const char* command : {"report", "harden"}) {
+      const CliResult r = RunPopp({command, path, "--trials", "3"});
+      EXPECT_EQ(r.code, 0) << command << " " << path << ": " << r.err;
+      EXPECT_NE(r.out.find("\nb "), std::string::npos) << r.out;
+    }
+  }
+  // Every knowledge point lands on the one value, so every attack cracks
+  // the constant attribute.
+  const CliResult report = RunPopp({"report", constant, "--trials", "3"});
+  const size_t row = report.out.find("\nb ");
+  ASSERT_NE(row, std::string::npos) << report.out;
+  const std::string line =
+      report.out.substr(row + 1, report.out.find('\n', row + 1) - row - 1);
+  EXPECT_NE(line.find("| 100.0%         | 100.0%       | 100.0%"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("REVIEW"), std::string::npos) << line;
+}
+
 TEST(CliBasicsTest, StreamReleaseRemovedFitModesAreUsageErrors) {
   // Prefix fitting and the refit policy are gone, and --ood-policy only
   // means something next to --key-in.

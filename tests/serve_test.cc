@@ -991,6 +991,76 @@ TEST_F(ServeEndToEndTest, BadRiskAndDecodeRequestsGetErrorRepliesAndTheDaemonLiv
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+TEST_F(ServeEndToEndTest, DegenerateDatasetsGetRepliesAndTheDaemonLivesOn) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("unfit");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+
+  // A dataset with no rows reached a CHECK in the fit (cold fit, encode
+  // and decode) or in the custodian (verify, risk) and aborted the daemon
+  // for every tenant. Each is refused in the reply, in both framings.
+  const std::string header_only = "a,b,class\n";
+  const std::string zero_row_cols =
+      SerializeCols(Dataset({"a", "b"}, {"x", "y"}));
+  for (const std::string* bytes : {&header_only, &zero_row_cols}) {
+    for (const Tag tag : kDatasetOps) {
+      RequestBody request;
+      request.options = "trials 3\n";
+      request.extra = LeafTreeDocument();
+      request.dataset = *bytes;
+      auto reply = client.Call(tag, "empty", request);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply.value().code, StatusCode::kInvalidArgument)
+          << TagName(tag) << ": " << reply.value().text;
+      EXPECT_EQ(reply.value().text,
+                "INVALID_ARGUMENT: request dataset has no data rows to fit "
+                "on")
+          << TagName(tag);
+    }
+  }
+  // A constant attribute has a crack radius of 0, which the risk report's
+  // knowledge points drew from an empty range; in a one-row dataset every
+  // attribute is constant.
+  for (const std::string constant :
+       {"a,b,class\n1,5,x\n2,5,y\n3,5,x\n4,5,y\n5,5,x\n",
+        "a,b,class\n1,5,x\n"}) {
+    RequestBody risk;
+    risk.options = "trials 3\n";
+    risk.dataset = constant;
+    auto report = client.Call(Tag::kRisk, "constant", risk);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report.value().ok()) << report.value().text;
+    EXPECT_NE(report.value().body.find("b"), std::string::npos);
+  }
+  // A popp-cols container may hold no attributes at all; verify mines it,
+  // which the frontier tree engine could not partition.
+  Dataset no_attributes(std::vector<std::string>{}, {"x", "y"});
+  for (int r = 0; r < 4; ++r) no_attributes.AddRow({}, r % 2);
+  RequestBody verify;
+  verify.dataset = SerializeCols(no_attributes);
+  auto verified = client.Call(Tag::kVerify, "constant", verify);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified.value().text, "no-outcome-change: VERIFIED");
+
+  // The same daemon still answers: every refused request was served, and
+  // fit, encode and decode each missed the cache without filling it.
+  auto stats = client.Call(Tag::kStats, "empty", RequestBody{});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats.value().ok()) << stats.value().text;
+  for (const char* line : {"requests_served: 11\n", "plans_resident: 0\n",
+                           "cache_hits: 0\n", "cache_misses: 6\n"}) {
+    EXPECT_NE(stats.value().body.find(line), std::string::npos)
+        << stats.value().body;
+  }
+  auto health = client.Call(Tag::kHealth, "t", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok()) << health.value().text;
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
 TEST(ServeLifecycleTest, RefusesSocketAnotherDaemonListensOn) {
   ServeOptions options;
   options.socket_path = TempSocketPath("live");
