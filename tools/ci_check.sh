@@ -31,10 +31,11 @@
 # frames, kill-mid-request crash schedules), and a final smoke stage
 # round-trips a real popp-serve process against `popp encode` (the
 # popp-cols request cold, on its own tenant), sends it an encode with an
-# `inf` cell in each framing, a risk request with zero trials and a
-# decode whose tree splits on an attribute the data lacks (each must be
-# refused by name while the daemon keeps answering `health`), then
-# drains it to exit 0. Both
+# `inf` cell in each framing, a risk request with zero trials, a decode
+# whose tree splits on an attribute the data lacks and a header-only CSV
+# as an encode and as a verify (each must be refused by name), and a risk
+# request on a constant column (which must succeed), while the daemon
+# keeps answering `health`, then drains it to exit 0. Both
 # stages also run the supervised_convergence oracle — randomized
 # crash/error/delay schedules over the shard pipeline and the admission-
 # controlled daemon, under a hard wall-clock timeout so an undetected
@@ -274,11 +275,14 @@ echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push a CSV and a cols-framed encode
 # through `popp serve-client` (the cols one first on tenant `cols`, so it
 # takes the cold path that fits the plan) and byte-compare both against
-# `popp encode`, send four bad requests (an encode with an `inf` cell as
+# `popp encode`, send six bad requests (an encode with an `inf` cell as
 # CSV and as popp-cols, a risk report with zero trials, a decode whose
-# tree splits on attribute index 4 of 3-attribute data), each refused by
-# name while the daemon still answers `health`, then shut the daemon down
-# and verify it drained (exit 0) and removed its socket.
+# tree splits on attribute index 4 of 3-attribute data, a header-only CSV
+# as an encode to a fresh tenant and as a verify), each refused by name,
+# and a risk report on a constant column, which must succeed, while the
+# daemon still answers `health` (one-shot `popp encode` refuses the
+# header-only CSV too), then shut the daemon down and verify it drained
+# (exit 0) and removed its socket.
 cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -329,6 +333,15 @@ refused "'trials' must be >= 1" serve-client "$sock" risk \
   "$serve_dir/data.csv" --trials 0
 refused "splits on attribute index 4" serve-client "$sock" decode \
   "$serve_dir/wide.tree" "$serve_dir/data.csv" "$serve_dir/wide_out.tree"
+printf 'u,v,w,class\n' > "$serve_dir/empty.csv"
+printf 'u,v,class\n1,7,p\n2,7,q\n3,7,p\n4,7,q\n' > "$serve_dir/constant.csv"
+refused "no data rows" serve-client "$sock" encode "$serve_dir/empty.csv" \
+  "$serve_dir/empty_out.csv" --tenant empty
+refused "no data rows" serve-client "$sock" verify "$serve_dir/empty.csv"
+"$build_dir/tools/popp" serve-client "$sock" risk "$serve_dir/constant.csv" \
+  --trials 3 > "$serve_dir/constant.risk"
+refused "no data rows" encode "$serve_dir/empty.csv" \
+  "$serve_dir/empty_out.csv" "$serve_dir/empty_out.key"
 "$build_dir/tools/popp" serve-client "$sock" health
 "$build_dir/tools/popp" serve-client "$sock" shutdown
 wait "$serve_pid"
