@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string_view>
 
 #include "core/custodian.h"
@@ -26,10 +25,11 @@
 #include "transform/tree_decode.h"
 #include "tree/builder.h"
 #include "tree/compare.h"
+#include "tree/criterion.h"
 #include "tree/prune.h"
 #include "tree/serialize.h"
 #include "util/crc64.h"
-#include "util/decimal.h"
+#include "util/flags.h"
 
 namespace popp {
 namespace {
@@ -94,12 +94,14 @@ constexpr char kUsage[] =
     "container; convert translates between the two, defaulting --to to\n"
     "the opposite of the input's format. Release output is byte-identical\n"
     "whichever format the input arrives in.\n"
-    "Flags are checked strictly: a flag the command does not take, or a\n"
-    "numeric value that is not a whole unsigned decimal (--seed 3x,\n"
-    "--seed -1), is a usage error, as is a count (--trials, --shards,\n"
-    "--chunk-rows) of 0 or a --max-risk outside 1-100. Attribute values\n"
-    "must be finite: an inf or nan cell fails the command, naming its row\n"
-    "and attribute.\n"
+    "Flags are written --name value or --name=value and are checked\n"
+    "before any file is opened: a flag the command does not take, a\n"
+    "choice it does not know (--policy, --criterion, --format, --to,\n"
+    "--ood-policy, --workers-mode), a numeric value that is not a whole\n"
+    "unsigned decimal (--seed 3x, --seed -1), a count (--trials, --shards,\n"
+    "--chunk-rows) of 0 or a --max-risk outside 1-100 is a usage error\n"
+    "naming the flag. Attribute values must be finite: an inf or nan cell\n"
+    "fails the command, naming its row and attribute.\n"
     "\n"
     "stream-release fits on every row, or encodes under a saved --key-in\n"
     "key; --ood-policy, which needs --key-in, decides values the key was\n"
@@ -131,9 +133,15 @@ constexpr char kUsage[] =
     "3 file/I-O error, 4 corrupt or integrity-failed artifact,\n"
     "5 internal error, 6 deadline exceeded or overloaded.\n";
 
-/// Maps a failed Status onto the CLI exit-code taxonomy above.
-int ExitFor(const Status& status) {
-  switch (status.code()) {
+/// Reports a command's runtime failure: prints `text`, the failure's
+/// rendered Status, to `err` and returns the exit code of `code` in the
+/// taxonomy above. In the CLI, kFailedPrecondition only means popp-serve
+/// refused the connection.
+int Fail(StatusCode code, std::string_view text, std::ostream& err) {
+  err << text << "\n";
+  switch (code) {
+    case StatusCode::kFailedPrecondition:
+      return 2;
     case StatusCode::kNotFound:
     case StatusCode::kIoError:
       return 3;
@@ -148,135 +156,55 @@ int ExitFor(const Status& status) {
   }
 }
 
-/// Splits `args` into positional arguments and --flag[=value] options
-/// (flags may also take their value as the next token).
-struct ParsedArgs {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;  // name (no dashes) -> value
-};
-
-/// Flags that take no value, and flags whose value is free text. Every
-/// other flag a command takes needs an unsigned decimal value.
-constexpr std::string_view kSwitchFlags[] = {"anti", "manifest", "prune",
-                                             "resume"};
-constexpr std::string_view kTextFlags[] = {
-    "criterion", "format", "key",    "key-in", "ood-policy",
-    "policy",    "save",   "tenant", "to",     "workers-mode"};
-
-template <typename List>
-bool Contains(const List& list, std::string_view name) {
-  return std::find(std::begin(list), std::end(list), name) != std::end(list);
+int Fail(const Status& status, std::ostream& err) {
+  return Fail(status.code(), status.ToString(), err);
 }
 
-/// Parses `args` for `command`, which takes the flags in `accepted` plus
-/// --threads. An unknown flag, a switch given a value, a missing value or
-/// a non-decimal number is reported to `err` and yields nullopt (exit 2).
-std::optional<ParsedArgs> Parse(const std::string& command,
-                                const std::vector<std::string>& args,
-                                const std::vector<std::string>& accepted,
-                                std::ostream& err) {
-  const auto fail = [&](const std::string& what) {
-    err << "popp " << command << ": " << what << "\n";
-    return std::nullopt;
-  };
-  ParsedArgs parsed;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg.rfind("--", 0) != 0) {
-      parsed.positional.push_back(arg);
-      continue;
-    }
-    std::string name = arg.substr(2);
-    std::optional<std::string> value;
-    const size_t eq = name.find('=');
-    if (eq != std::string::npos) {
-      value = name.substr(eq + 1);
-      name.resize(eq);
-    }
-    if (name != "threads" && !Contains(accepted, name)) {
-      return fail("unknown flag --" + name + " (see popp help)");
-    }
-    if (Contains(kSwitchFlags, name)) {
-      if (value) return fail("--" + name + " takes no value");
-      parsed.flags[name];
-      continue;
-    }
-    if (!value) {
-      if (i + 1 == args.size()) return fail("--" + name + " needs a value");
-      value = args[++i];
-    }
-    uint64_t number = 0;
-    if (!Contains(kTextFlags, name) && !ParseDecimalU64(*value, &number)) {
-      return fail("--" + name + " needs an unsigned decimal integer, got '" +
-                  *value + "'");
-    }
-    parsed.flags[name] = *value;
-  }
-  return parsed;
+/// A choice flag's check for ParseFlags: the library's own parse function.
+template <auto Parse>
+Status Check(std::string_view value) {
+  return Parse(std::string(value)).status();
 }
 
-/// A numeric flag's value (Parse has checked it), or `fallback` if absent.
-uint64_t FlagInt(const ParsedArgs& args, const std::string& name,
-                 uint64_t fallback) {
-  auto it = args.flags.find(name);
-  uint64_t value = fallback;
-  if (it != args.flags.end()) ParseDecimalU64(it->second, &value);
-  return value;
+/// A choice flag's value (ParseFlags has checked it), or `fallback`.
+template <auto Parse, typename T>
+T Choice(const ParsedFlags& args, const std::string& name, T fallback) {
+  return args.Has(name) ? Parse(args.Text(name)).value() : fallback;
 }
 
-/// FlagInt for a flag whose value must lie in [1, max]. A value outside
-/// it is reported to `err` and yields nullopt (a usage error, exit 2).
-std::optional<uint64_t> PositiveFlag(const ParsedArgs& args,
-                                     const std::string& name,
-                                     uint64_t fallback, std::ostream& err,
-                                     uint64_t max = UINT64_MAX) {
-  const uint64_t value = FlagInt(args, name, fallback);
-  if (value >= 1 && value <= max) return value;
-  err << "--" << name << " must be "
-      << (max == UINT64_MAX ? std::string(">= 1")
-                            : "in 1-" + std::to_string(max))
-      << ", got " << value << "\n";
-  return std::nullopt;
+stream::DatasetFormat FormatFlag(const ParsedFlags& args,
+                                 const std::string& name = "format") {
+  return Choice<stream::ParseDatasetFormat>(args, name,
+                                            stream::DatasetFormat::kAuto);
 }
 
-ExecPolicy ExecFlags(const ParsedArgs& args) {
-  return ExecPolicy{static_cast<size_t>(FlagInt(args, "threads", 1))};
+ExecPolicy ExecFlags(const ParsedFlags& args) {
+  return ExecPolicy{static_cast<size_t>(args.Number("threads", 1))};
 }
 
-std::optional<PiecewiseOptions> TransformFlags(const ParsedArgs& args,
-                                               std::ostream& err) {
+PiecewiseOptions TransformFlags(const ParsedFlags& args) {
   PiecewiseOptions options;
-  auto it = args.flags.find("policy");
-  if (it != args.flags.end()) {
-    auto policy = ParseBreakpointPolicy(it->second);
-    if (!policy.ok()) {
-      err << policy.status().ToString() << "\n";
-      return std::nullopt;
-    }
-    options.policy = policy.value();
-  }
-  options.min_breakpoints = FlagInt(args, "breakpoints", 20);
-  options.global_anti_monotone = args.flags.count("anti") > 0;
+  options.policy =
+      Choice<ParseBreakpointPolicy>(args, "policy", options.policy);
+  options.min_breakpoints = args.Number("breakpoints", 20);
+  options.global_anti_monotone = args.Has("anti");
   return options;
 }
 
-/// Resolves a --format / --to style flag; absent means kAuto.
-Result<stream::DatasetFormat> FormatFlag(const ParsedArgs& args,
-                                         const std::string& name) {
-  auto it = args.flags.find(name);
-  if (it == args.flags.end() || it->second.empty()) {
-    return stream::DatasetFormat::kAuto;
-  }
-  return stream::ParseDatasetFormat(it->second);
+BuildOptions TreeFlags(const ParsedFlags& args) {
+  BuildOptions options;
+  options.criterion =
+      Choice<ParseSplitCriterion>(args, "criterion", options.criterion);
+  options.max_depth = args.Number("max-depth", options.max_depth);
+  options.min_leaf_size = args.Number("min-leaf", options.min_leaf_size);
+  return options;
 }
 
 /// Loads a whole dataset honoring the command's --format flag (auto-sniffs
 /// by default, so existing CSV invocations keep working unchanged), and
 /// refuses a dataset with no rows or with non-finite values.
-Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
-  auto requested = FormatFlag(args, "format");
-  if (!requested.ok()) return requested.status();
-  auto format = stream::SniffDatasetFormat(path, requested.value());
+Result<Dataset> ReadDataset(const ParsedFlags& args, const std::string& path) {
+  auto format = stream::SniffDatasetFormat(path, FormatFlag(args));
   if (!format.ok()) return format.status();
   Result<Dataset> data = format.value() == stream::DatasetFormat::kCols
                              ? ReadCols(path)
@@ -289,55 +217,22 @@ Result<Dataset> ReadDataset(const ParsedArgs& args, const std::string& path) {
   return data;
 }
 
-std::optional<BuildOptions> TreeFlags(const ParsedArgs& args,
-                                      std::ostream& err) {
-  BuildOptions options;
-  auto it = args.flags.find("criterion");
-  if (it != args.flags.end()) {
-    if (it->second == "gini") {
-      options.criterion = SplitCriterion::kGini;
-    } else if (it->second == "entropy") {
-      options.criterion = SplitCriterion::kEntropy;
-    } else if (it->second == "gainratio") {
-      options.criterion = SplitCriterion::kGainRatio;
-    } else {
-      err << "unknown --criterion '" << it->second << "'\n";
-      return std::nullopt;
-    }
-  }
-  options.max_depth = FlagInt(args, "max-depth", options.max_depth);
-  options.min_leaf_size = FlagInt(args, "min-leaf", options.min_leaf_size);
-  return options;
-}
-
-int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 3) {
-    err << "encode needs <in.csv> <out.csv> <key.out>\n";
-    return 2;
-  }
+int CmdEncode(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto data = ReadDataset(args, args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
+  if (!data.ok()) return Fail(data.status(), err);
+  if (data.value().NumAttributes() == 0) {
+    return Fail(Status::InvalidArgument("'" + args.positional[0] +
+                                        "' has no attributes to encode"),
+                err);
   }
-  auto options = TransformFlags(args, err);
-  if (!options) return 2;
-  Rng rng(FlagInt(args, "seed", 1));
-  const TransformPlan plan =
-      TransformPlan::Create(data.value(), *options, rng, ExecFlags(args));
+  Rng rng(args.Number("seed", 1));
+  const TransformPlan plan = TransformPlan::Create(
+      data.value(), TransformFlags(args), rng, ExecFlags(args));
   const Dataset released =
       CompiledPlan::Compile(plan).EncodeDataset(data.value(), ExecFlags(args));
-
   Status status = WriteCsv(released, args.positional[1]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
-  status = SavePlan(plan, args.positional[2]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
+  if (status.ok()) status = SavePlan(plan, args.positional[2]);
+  if (!status.ok()) return Fail(status, err);
   out << "encoded " << released.NumRows() << " rows x "
       << released.NumAttributes() << " attributes -> " << args.positional[1]
       << "\nkey written to " << args.positional[2]
@@ -345,126 +240,64 @@ int CmdEncode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int CmdStreamRelease(const ParsedArgs& args, std::ostream& out,
+int CmdStreamRelease(const ParsedFlags& args, std::ostream& out,
                      std::ostream& err) {
-  if (args.positional.size() != 3) {
-    err << "stream-release needs <in.csv> <out.csv> <key.out>\n";
+  if (args.Has("ood-policy") && !args.Has("key-in")) {
+    err << "--ood-policy needs --key-in: without a key the release fits "
+           "on every row, so no value is out of domain\n";
     return 2;
   }
-  auto transform = TransformFlags(args, err);
-  if (!transform) return 2;
   stream::StreamOptions options;
-  options.transform = *transform;
-  options.seed = FlagInt(args, "seed", 1);
+  options.transform = TransformFlags(args);
+  options.seed = args.Number("seed", 1);
   options.exec = ExecFlags(args);
-  const auto chunk_rows = PositiveFlag(args, "chunk-rows", 4096, err);
-  if (!chunk_rows) return 2;
-  options.chunk_rows = *chunk_rows;
-  auto key_it = args.flags.find("key-in");
-  auto policy_it = args.flags.find("ood-policy");
-  if (policy_it != args.flags.end()) {
-    auto policy = stream::ParseOodPolicy(policy_it->second);
-    if (!policy.ok()) {
-      err << policy.status().ToString() << "\n";
-      return 2;
-    }
-    if (key_it == args.flags.end()) {
-      err << "--ood-policy needs --key-in: without a key the release fits "
-             "on every row, so no value is out of domain\n";
-      return 2;
-    }
-    options.ood_policy = policy.value();
-  }
-  auto format = FormatFlag(args, "format");
-  if (!format.ok()) {
-    err << format.status().ToString() << "\n";
-    return 2;
-  }
-  auto reader_or =
-      stream::MakeChunkReader(args.positional[0], format.value());
-  if (!reader_or.ok()) {
-    err << reader_or.status().ToString() << "\n";
-    return ExitFor(reader_or.status());
-  }
-  stream::ChunkReader& reader = *reader_or.value();
+  options.chunk_rows = args.Number("chunk-rows", 4096);
+  options.ood_policy = Choice<stream::ParseOodPolicy>(args, "ood-policy",
+                                                      options.ood_policy);
+  auto reader = stream::MakeChunkReader(args.positional[0], FormatFlag(args));
+  if (!reader.ok()) return Fail(reader.status(), err);
   stream::ResumableCsvChunkWriter writer(args.positional[1], {},
-                                         args.flags.count("resume") > 0);
+                                         args.Has("resume"));
   stream::StreamStats stats;
   Result<TransformPlan> plan = TransformPlan();
-  if (key_it != args.flags.end()) {
-    auto loaded = LoadPlan(key_it->second);
-    if (!loaded.ok()) {
-      err << loaded.status().ToString() << "\n";
-      return ExitFor(loaded.status());
-    }
+  if (args.Has("key-in")) {
+    auto loaded = LoadPlan(args.Text("key-in"));
+    if (!loaded.ok()) return Fail(loaded.status(), err);
     plan = stream::StreamingCustodian::ReleaseWithPlan(
-        reader, writer, std::move(loaded).value(), options, &stats);
+        *reader.value(), writer, std::move(loaded).value(), options, &stats);
   } else {
-    plan = stream::StreamingCustodian::Release(reader, writer, options,
-                                               &stats);
+    plan = stream::StreamingCustodian::Release(*reader.value(), writer,
+                                               options, &stats);
   }
-  if (!plan.ok()) {
-    err << plan.status().ToString() << "\n";
-    return ExitFor(plan.status());
-  }
-  const Status status = SavePlan(plan.value(), args.positional[2]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
+  Status status = plan.status();
+  if (status.ok()) status = SavePlan(plan.value(), args.positional[2]);
+  if (!status.ok()) return Fail(status, err);
   out << stats.Render() << "released -> " << args.positional[1]
       << "\nkey written to " << args.positional[2]
       << " (keep it secret; it decodes the mining outcome)\n";
   return 0;
 }
 
-int CmdShardRelease(const ParsedArgs& args, std::ostream& out,
+int CmdShardRelease(const ParsedFlags& args, std::ostream& out,
                     std::ostream& err) {
-  if (args.positional.size() != 3) {
-    err << "shard-release needs <in> <out> <key.out>\n";
-    return 2;
-  }
-  auto transform = TransformFlags(args, err);
-  if (!transform) return 2;
   shard::ShardOptions options;
-  options.transform = *transform;
-  options.seed = FlagInt(args, "seed", 1);
+  options.transform = TransformFlags(args);
+  options.seed = args.Number("seed", 1);
   options.exec = ExecFlags(args);
-  const auto shards = PositiveFlag(args, "shards", 2, err);
-  const auto chunk_rows = PositiveFlag(args, "chunk-rows", 4096, err);
-  if (!shards || !chunk_rows) return 2;
-  options.num_shards = *shards;
-  options.chunk_rows = *chunk_rows;
-  options.resume = args.flags.count("resume") > 0;
-  auto mode_it = args.flags.find("workers-mode");
-  if (mode_it != args.flags.end()) {
-    auto mode = shard::ParseWorkersMode(mode_it->second);
-    if (!mode.ok()) {
-      err << mode.status().ToString() << "\n";
-      return 2;
-    }
-    options.workers_mode = mode.value();
-  }
-  options.worker_deadline_ms = FlagInt(args, "worker-deadline", 30000);
-  options.max_worker_restarts = FlagInt(args, "max-worker-restarts", 2);
-  auto format = FormatFlag(args, "format");
-  if (!format.ok()) {
-    err << format.status().ToString() << "\n";
-    return 2;
-  }
-  options.format = format.value();
+  options.num_shards = args.Number("shards", 2);
+  options.chunk_rows = args.Number("chunk-rows", 4096);
+  options.resume = args.Has("resume");
+  options.workers_mode = Choice<shard::ParseWorkersMode>(
+      args, "workers-mode", options.workers_mode);
+  options.worker_deadline_ms = args.Number("worker-deadline", 30000);
+  options.max_worker_restarts = args.Number("max-worker-restarts", 2);
+  options.format = FormatFlag(args);
   shard::ShardStats stats;
   auto plan = shard::ShardedCustodian::Release(
       args.positional[0], args.positional[1], options, &stats);
-  if (!plan.ok()) {
-    err << plan.status().ToString() << "\n";
-    return ExitFor(plan.status());
-  }
-  const Status status = SavePlan(plan.value(), args.positional[2]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
+  Status status = plan.status();
+  if (status.ok()) status = SavePlan(plan.value(), args.positional[2]);
+  if (!status.ok()) return Fail(status, err);
   out << stats.Render() << "released -> " << args.positional[1]
       << " (+ " << options.num_shards << " shard file"
       << (options.num_shards == 1 ? "" : "s")
@@ -473,28 +306,14 @@ int CmdShardRelease(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
-int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 2) {
-    err << "mine needs <data.csv> <tree.out>\n";
-    return 2;
-  }
-  auto options = TreeFlags(args, err);
-  if (!options) return 2;
+int CmdMine(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto data = ReadDataset(args, args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
+  if (!data.ok()) return Fail(data.status(), err);
   DecisionTree tree =
-      DecisionTreeBuilder(*options, ExecFlags(args)).Build(data.value());
-  if (args.flags.count("prune") > 0) {
-    tree = PruneTree(tree);
-  }
+      DecisionTreeBuilder(TreeFlags(args), ExecFlags(args)).Build(data.value());
+  if (args.Has("prune")) tree = PruneTree(tree);
   const Status status = SaveTree(tree, args.positional[1]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
+  if (!status.ok()) return Fail(status, err);
   out << "mined tree: " << tree.NumLeaves() << " leaves, depth "
       << tree.Depth() << ", training accuracy "
       << 100.0 * tree.Accuracy(data.value()) << "% -> " << args.positional[1]
@@ -502,37 +321,18 @@ int CmdMine(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int CmdDecode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 4) {
-    err << "decode needs <tree.in> <key> <original.csv> <tree.out>\n";
-    return 2;
-  }
+int CmdDecode(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto tree = LoadTree(args.positional[0]);
-  if (!tree.ok()) {
-    err << tree.status().ToString() << "\n";
-    return ExitFor(tree.status());
-  }
+  if (!tree.ok()) return Fail(tree.status(), err);
   auto plan = LoadPlan(args.positional[1]);
-  if (!plan.ok()) {
-    err << plan.status().ToString() << "\n";
-    return ExitFor(plan.status());
-  }
+  if (!plan.ok()) return Fail(plan.status(), err);
   auto original = ReadDataset(args, args.positional[2]);
-  if (!original.ok()) {
-    err << original.status().ToString() << "\n";
-    return ExitFor(original.status());
-  }
+  if (!original.ok()) return Fail(original.status(), err);
   auto decoded =
       TryDecodeTreeWithData(tree.value(), plan.value(), original.value());
-  if (!decoded.ok()) {
-    err << decoded.status().ToString() << "\n";
-    return ExitFor(decoded.status());
-  }
-  const Status status = SaveTree(decoded.value(), args.positional[3]);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return ExitFor(status);
-  }
+  Status status = decoded.status();
+  if (status.ok()) status = SaveTree(decoded.value(), args.positional[3]);
+  if (!status.ok()) return Fail(status, err);
   out << "decoded tree (" << decoded.value().NumLeaves() << " leaves) -> "
       << args.positional[3] << "\n"
       << decoded.value().ToText(original.value().schema());
@@ -541,17 +341,13 @@ int CmdDecode(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 
 /// `verify <release> --manifest`: integrity-check a sharded release
 /// shard by shard against its manifest-of-manifests, in bounded memory.
-int CmdVerifyManifest(const ParsedArgs& args, std::ostream& out,
+int CmdVerifyManifest(const ParsedFlags& args, std::ostream& out,
                       std::ostream& err) {
   uint64_t plan_crc = 0;
   const uint64_t* expect_crc = nullptr;
-  auto key_it = args.flags.find("key");
-  if (key_it != args.flags.end()) {
-    auto plan = LoadPlan(key_it->second);
-    if (!plan.ok()) {
-      err << plan.status().ToString() << "\n";
-      return ExitFor(plan.status());
-    }
+  if (args.Has("key")) {
+    auto plan = LoadPlan(args.Text("key"));
+    if (!plan.ok()) return Fail(plan.status(), err);
     plan_crc = Crc64(SerializePlan(plan.value()));
     expect_crc = &plan_crc;
   }
@@ -559,9 +355,8 @@ int CmdVerifyManifest(const ParsedArgs& args, std::ostream& out,
   const Status status =
       shard::VerifyShardedRelease(args.positional[0], expect_crc, &totals);
   if (!status.ok()) {
-    err << status.ToString() << "\n";
     out << "sharded release: FAILED\n";
-    return ExitFor(status);
+    return Fail(status, err);
   }
   out << "sharded release: VERIFIED (" << totals.shards << " shards, "
       << totals.rows << " rows, " << totals.bytes << " bytes"
@@ -569,27 +364,14 @@ int CmdVerifyManifest(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
-int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 1) {
-    err << "verify needs <original.csv>\n";
-    return 2;
-  }
-  if (args.flags.count("manifest") > 0) {
-    return CmdVerifyManifest(args, out, err);
-  }
+int CmdVerify(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
+  if (args.Has("manifest")) return CmdVerifyManifest(args, out, err);
   auto data = ReadDataset(args, args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
-  auto transform = TransformFlags(args, err);
-  if (!transform) return 2;
-  auto tree = TreeFlags(args, err);
-  if (!tree) return 2;
+  if (!data.ok()) return Fail(data.status(), err);
   CustodianOptions options;
-  options.seed = FlagInt(args, "seed", 1);
-  options.transform = *transform;
-  options.tree = *tree;
+  options.seed = args.Number("seed", 1);
+  options.transform = TransformFlags(args);
+  options.tree = TreeFlags(args);
   options.exec = ExecFlags(args);
   const Custodian custodian(std::move(data).value(), options);
   std::string detail;
@@ -601,95 +383,51 @@ int CmdVerify(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   return ok ? 0 : 1;
 }
 
-int CmdReport(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 1) {
-    err << "report needs <data.csv>\n";
-    return 2;
-  }
-  const auto trials = PositiveFlag(args, "trials", 31, err);
-  if (!trials) return 2;
+int CmdReport(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto data = ReadDataset(args, args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
+  if (!data.ok()) return Fail(data.status(), err);
   CustodianOptions options;
-  options.seed = FlagInt(args, "seed", 1);
+  options.seed = args.Number("seed", 1);
   options.exec = ExecFlags(args);
   const Custodian custodian(std::move(data).value(), options);
   ReportOptions report_options;
-  report_options.num_trials = *trials;
+  report_options.num_trials = args.Number("trials", 31);
   report_options.seed = options.seed + 1;
   report_options.exec = options.exec;
   out << RenderRiskReport(BuildRiskReport(custodian, report_options));
   return 0;
 }
 
-int CmdHarden(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 1) {
-    err << "harden needs <data.csv>\n";
-    return 2;
-  }
-  const auto max_risk = PositiveFlag(args, "max-risk", 25, err, 100);
-  const auto trials = PositiveFlag(args, "trials", 21, err);
-  if (!max_risk || !trials) return 2;
+int CmdHarden(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto data = ReadDataset(args, args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
+  if (!data.ok()) return Fail(data.status(), err);
   HardeningTargets targets;
-  targets.max_risk = static_cast<double>(*max_risk) / 100.0;
-  targets.trials = *trials;
+  targets.max_risk = static_cast<double>(args.Number("max-risk", 25)) / 100.0;
+  targets.trials = args.Number("trials", 21);
   targets.exec = ExecFlags(args);
   const auto decisions = RecommendPerAttributeOptions(
-      data.value(), PiecewiseOptions{}, targets, FlagInt(args, "seed", 1));
+      data.value(), PiecewiseOptions{}, targets, args.Number("seed", 1));
   out << RenderHardeningDecisions(data.value(), decisions);
   return 0;
 }
 
-int CmdConvert(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  if (args.positional.size() != 2) {
-    err << "convert needs <in> <out>\n";
-    return 2;
-  }
-  auto requested = FormatFlag(args, "format");
-  if (!requested.ok()) {
-    err << requested.status().ToString() << "\n";
-    return 2;
-  }
+int CmdConvert(const ParsedFlags& args, std::ostream& out, std::ostream& err) {
   auto source = stream::SniffDatasetFormat(args.positional[0],
-                                           requested.value());
-  if (!source.ok()) {
-    err << source.status().ToString() << "\n";
-    return ExitFor(source.status());
-  }
-  auto target = FormatFlag(args, "to");
-  if (!target.ok()) {
-    err << target.status().ToString() << "\n";
-    return 2;
-  }
+                                           FormatFlag(args));
+  if (!source.ok()) return Fail(source.status(), err);
+  const bool from_cols = source.value() == stream::DatasetFormat::kCols;
   // Absent --to flips the format: CSV in -> cols out and vice versa.
-  stream::DatasetFormat to = target.value();
+  stream::DatasetFormat to = FormatFlag(args, "to");
   if (to == stream::DatasetFormat::kAuto) {
-    to = source.value() == stream::DatasetFormat::kCols
-             ? stream::DatasetFormat::kCsv
-             : stream::DatasetFormat::kCols;
+    to = from_cols ? stream::DatasetFormat::kCsv : stream::DatasetFormat::kCols;
   }
-  auto data = source.value() == stream::DatasetFormat::kCols
-                  ? ReadCols(args.positional[0])
-                  : ReadCsv(args.positional[0]);
-  if (!data.ok()) {
-    err << data.status().ToString() << "\n";
-    return ExitFor(data.status());
-  }
+  auto data =
+      from_cols ? ReadCols(args.positional[0]) : ReadCsv(args.positional[0]);
+  if (!data.ok()) return Fail(data.status(), err);
   if (to == stream::DatasetFormat::kCols) {
     ColsStats stats;
     const Status status = WriteCols(data.value(), args.positional[1], &stats);
-    if (!status.ok()) {
-      err << status.ToString() << "\n";
-      return ExitFor(status);
-    }
+    if (!status.ok()) return Fail(status, err);
     out << "converted " << stats.num_rows << " rows x "
         << stats.num_attributes << " attributes -> " << args.positional[1]
         << " (popp-cols v1: " << stats.dict_columns << " dict + "
@@ -697,10 +435,7 @@ int CmdConvert(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
         << " bytes)\n";
   } else {
     const Status status = WriteCsv(data.value(), args.positional[1]);
-    if (!status.ok()) {
-      err << status.ToString() << "\n";
-      return ExitFor(status);
-    }
+    if (!status.ok()) return Fail(status, err);
     out << "converted " << data.value().NumRows() << " rows x "
         << data.value().NumAttributes() << " attributes -> "
         << args.positional[1] << " (csv)\n";
@@ -711,30 +446,18 @@ int CmdConvert(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
 /// Renders the request options line protocol (serve/ops.h vocabulary)
 /// from the familiar CLI flags, so a serve-client invocation and the
 /// matching one-shot command describe the same fit.
-std::string ServeOptionsText(const ParsedArgs& args) {
+std::string ServeOptionsText(const ParsedFlags& args) {
   std::string text;
-  const auto copy = [&](const std::string& flag) {
-    auto it = args.flags.find(flag);
-    if (it != args.flags.end()) text += flag + " " + it->second + "\n";
-  };
-  copy("seed");
-  copy("policy");
-  copy("breakpoints");
-  copy("threads");
-  copy("trials");
-  copy("save");
-  copy("deadline-ms");
-  if (args.flags.count("anti") > 0) text += "anti\n";
+  for (const char* flag : {"seed", "policy", "breakpoints", "threads",
+                           "trials", "save", "deadline-ms"}) {
+    if (args.Has(flag)) text += flag + (" " + args.Text(flag)) + "\n";
+  }
+  if (args.Has("anti")) text += "anti\n";
   return text;
 }
 
-int CmdServeClient(const ParsedArgs& args, std::ostream& out,
+int CmdServeClient(const ParsedFlags& args, std::ostream& out,
                    std::ostream& err) {
-  if (args.positional.size() < 2) {
-    err << "serve-client needs <socket> <op> [args] (ops: fit encode "
-           "decode verify risk stats health shutdown)\n";
-    return 2;
-  }
   const std::string& socket_path = args.positional[0];
   auto tag = serve::ParseTag(args.positional[1]);
   if (!tag.ok() || tag.value() == serve::Tag::kReply) {
@@ -776,55 +499,36 @@ int CmdServeClient(const ParsedArgs& args, std::ostream& out,
 
   serve::RequestBody request;
   request.options = ServeOptionsText(args);
-  std::string output_path;
   if (tag.value() == serve::Tag::kDecode) {
     auto tree_bytes = fault::ReadFileToString(rest[0]);
-    if (!tree_bytes.ok()) {
-      err << tree_bytes.status().ToString() << "\n";
-      return ExitFor(tree_bytes.status());
-    }
+    if (!tree_bytes.ok()) return Fail(tree_bytes.status(), err);
     request.extra = std::move(tree_bytes).value();
   }
   if (want_inputs > 0) {
     // The dataset file rides the wire verbatim: the daemon sniffs the
     // popp-cols magic, so a binary container keeps its zero-copy path and
     // a CSV parses exactly as the one-shot CLI would have parsed it.
-    const std::string& data_path = rest[want_inputs - 1];
-    auto data_bytes = fault::ReadFileToString(data_path);
-    if (!data_bytes.ok()) {
-      err << data_bytes.status().ToString() << "\n";
-      return ExitFor(data_bytes.status());
-    }
+    auto data_bytes = fault::ReadFileToString(rest[want_inputs - 1]);
+    if (!data_bytes.ok()) return Fail(data_bytes.status(), err);
     request.dataset = std::move(data_bytes).value();
   }
-  if (want_outputs > 0) output_path = rest.back();
 
   serve::ServeClient client;
   Status status = client.Connect(socket_path);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
-    return status.code() == StatusCode::kFailedPrecondition
-               ? 2
-               : ExitFor(status);
-  }
-  auto tenant_it = args.flags.find("tenant");
-  const std::string tenant =
-      tenant_it != args.flags.end() ? tenant_it->second : "default";
+  if (!status.ok()) return Fail(status, err);
   // --retry N retries explicit shed replies (overload / expired deadline)
   // with deterministic backoff; --deadline-ms also bounds the whole retry
   // loop client-side, so a saturated daemon cannot hold the CLI forever.
   serve::RetryOptions retry;
-  retry.max_retries = static_cast<size_t>(FlagInt(args, "retry", 0));
-  retry.deadline_ms = FlagInt(args, "deadline-ms", 0);
-  retry.seed = FlagInt(args, "seed", 1);
-  auto reply = client.CallWithRetry(tag.value(), tenant, request, retry);
-  if (!reply.ok()) {
-    err << reply.status().ToString() << "\n";
-    return ExitFor(reply.status());
-  }
+  retry.max_retries = static_cast<size_t>(args.Number("retry", 0));
+  retry.deadline_ms = args.Number("deadline-ms", 0);
+  retry.seed = args.Number("seed", 1);
+  auto reply = client.CallWithRetry(
+      tag.value(), args.Text("tenant", "default"), request, retry);
+  if (!reply.ok()) return Fail(reply.status(), err);
   if (!reply.value().ok()) {
-    err << reply.value().text << "\n";
-    return ExitFor(Status(reply.value().code, reply.value().text));
+    // The daemon's reply text is its rendered Status.
+    return Fail(reply.value().code, reply.value().text, err);
   }
 
   out << reply.value().text << "\n";
@@ -844,49 +548,81 @@ int CmdServeClient(const ParsedArgs& args, std::ostream& out,
     default:
       break;
   }
-  if (!output_path.empty()) {
+  if (want_outputs > 0) {
     // Client-side artifacts get the same atomic publication discipline as
     // the daemon's --save path: no partial file under the final name.
-    status = fault::WriteFileAtomic(output_path, reply.value().body);
-    if (!status.ok()) {
-      err << status.ToString() << "\n";
-      return ExitFor(status);
-    }
-    out << "written to " << output_path << "\n";
+    status = fault::WriteFileAtomic(rest.back(), reply.value().body);
+    if (!status.ok()) return Fail(status, err);
+    out << "written to " << rest.back() << "\n";
   }
   return 0;
 }
 
-/// A subcommand: its handler and the flags it takes besides --threads.
+/// A subcommand: its handler, its positional arguments (one <name> each;
+/// a trailing [args] admits any number more) and the flags it takes
+/// besides --threads.
 struct Command {
-  int (*run)(const ParsedArgs&, std::ostream&, std::ostream&);
-  std::vector<std::string> flags;
+  int (*run)(const ParsedFlags&, std::ostream&, std::ostream&);
+  std::string operands;
+  std::vector<FlagRule> flags;
 };
 
 const std::map<std::string, Command>& Commands() {
-  static const auto* commands = new std::map<std::string, Command>{
-      {"encode", {CmdEncode, {"seed", "policy", "breakpoints", "anti",
-                              "format"}}},
-      {"stream-release",
-       {CmdStreamRelease, {"seed", "policy", "breakpoints", "anti", "format",
-                           "chunk-rows", "ood-policy", "key-in", "resume"}}},
-      {"shard-release",
-       {CmdShardRelease, {"seed", "policy", "breakpoints", "anti", "format",
-                          "shards", "workers-mode", "chunk-rows", "resume",
-                          "worker-deadline", "max-worker-restarts"}}},
-      {"mine", {CmdMine, {"criterion", "max-depth", "min-leaf", "prune",
-                          "format"}}},
-      {"decode", {CmdDecode, {"format"}}},
-      {"verify", {CmdVerify, {"seed", "policy", "breakpoints", "anti",
-                              "criterion", "max-depth", "min-leaf", "format",
-                              "manifest", "key"}}},
-      {"report", {CmdReport, {"seed", "trials", "format"}}},
-      {"harden", {CmdHarden, {"seed", "trials", "max-risk", "format"}}},
-      {"convert", {CmdConvert, {"format", "to"}}},
-      {"serve-client",
-       {CmdServeClient, {"seed", "policy", "breakpoints", "anti", "tenant",
-                         "trials", "save", "deadline-ms", "retry"}}},
-  };
+  static const auto* commands = [] {
+    const FlagRule seed = NumberFlag("seed"), anti = SwitchFlag("anti"),
+                   breakpoints = NumberFlag("breakpoints"),
+                   policy = TextFlag("policy", Check<ParseBreakpointPolicy>),
+                   format = TextFlag("format",
+                                     Check<stream::ParseDatasetFormat>),
+                   criterion = TextFlag("criterion",
+                                        Check<ParseSplitCriterion>),
+                   max_depth = NumberFlag("max-depth"),
+                   min_leaf = NumberFlag("min-leaf"),
+                   chunk_rows = NumberFlag("chunk-rows", 1),
+                   trials = NumberFlag("trials", 1),
+                   resume = SwitchFlag("resume");
+    return new std::map<std::string, Command>{
+        {"encode",
+         {CmdEncode, "<in.csv> <out.csv> <key.out>",
+          {seed, policy, breakpoints, anti, format}}},
+        {"stream-release",
+         {CmdStreamRelease, "<in.csv> <out.csv> <key.out>",
+          {seed, policy, breakpoints, anti, format, chunk_rows,
+           TextFlag("ood-policy", Check<stream::ParseOodPolicy>),
+           TextFlag("key-in"), resume}}},
+        {"shard-release",
+         {CmdShardRelease, "<in> <out> <key.out>",
+          {seed, policy, breakpoints, anti, format, NumberFlag("shards", 1),
+           TextFlag("workers-mode", Check<shard::ParseWorkersMode>),
+           chunk_rows, resume, NumberFlag("worker-deadline"),
+           NumberFlag("max-worker-restarts")}}},
+        {"mine",
+         {CmdMine, "<data.csv> <tree.out>",
+          {criterion, max_depth, min_leaf, SwitchFlag("prune"), format}}},
+        {"decode",
+         {CmdDecode, "<tree.in> <key> <original.csv> <tree.out>", {format}}},
+        {"verify",
+         {CmdVerify, "<original.csv>",
+          {seed, policy, breakpoints, anti, criterion, max_depth, min_leaf,
+           format, SwitchFlag("manifest"), TextFlag("key")}}},
+        {"report", {CmdReport, "<data.csv>", {seed, trials, format}}},
+        {"harden",
+         {CmdHarden, "<data.csv>",
+          {seed, trials, NumberFlag("max-risk", 1, 100), format}}},
+        {"convert",
+         {CmdConvert, "<in> <out>",
+          {format, TextFlag("to", Check<stream::ParseDatasetFormat>)}}},
+        // The daemon checks the options it is sent and replies with its
+        // own refusal, so serve-client checks only the decimal rule.
+        {"serve-client",
+         {CmdServeClient,
+          "<socket> <op> [args] (ops: fit encode decode verify risk stats "
+          "health shutdown)",
+          {seed, TextFlag("policy"), breakpoints, anti, TextFlag("tenant"),
+           NumberFlag("trials"), TextFlag("save"), NumberFlag("deadline-ms"),
+           NumberFlag("retry")}}},
+    };
+  }();
   return *commands;
 }
 
@@ -904,11 +640,24 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     err << "unknown command '" << command << "'\n" << kUsage;
     return 2;
   }
-  const std::optional<ParsedArgs> parsed =
-      Parse(command, std::vector<std::string>(args.begin() + 1, args.end()),
-            it->second.flags, err);
-  if (!parsed) return 2;
-  return it->second.run(*parsed, out, err);
+  std::vector<FlagRule> rules = it->second.flags;
+  rules.push_back(NumberFlag("threads"));
+  const auto parsed =
+      ParseFlags(std::vector<std::string>(args.begin() + 1, args.end()),
+                 rules, "popp help");
+  if (!parsed.ok()) {
+    err << "popp " << command << ": " << parsed.status().message() << "\n";
+    return 2;
+  }
+  const std::string& operands = it->second.operands;
+  const size_t want = std::count(operands.begin(), operands.end(), '<');
+  const size_t got = parsed.value().positional.size();
+  if (got < want ||
+      (got > want && operands.find("[args]") == std::string::npos)) {
+    err << command << " needs " << operands << "\n";
+    return 2;
+  }
+  return it->second.run(parsed.value(), out, err);
 }
 
 }  // namespace popp

@@ -7,21 +7,11 @@
 
 /// \file
 /// The `popp` command-line tool, implemented as a library function so the
-/// full workflow is unit-testable. Subcommands mirror the custodian /
-/// provider roles:
-///
-///   popp encode <in.csv> <out.csv> <key.out> [--seed N] [--policy P]
-///               [--breakpoints W] [--anti]
-///       custodian: sample a plan, write the released data and the key.
-///   popp mine <data.csv> <tree.out> [--criterion C] [--prune]
-///             [--max-depth D] [--min-leaf N]
-///       provider: induce a decision tree and write it out.
-///   popp decode <tree.in> <key> <original.csv> <tree.out>
-///       custodian: decode a mined tree against the key + original data.
-///   popp verify <original.csv> [--seed N]
-///       end-to-end self check of the no-outcome-change guarantee.
-///   popp report <data.csv> [--trials N] [--seed N]
-///       custodian: pre-release disclosure-risk report.
+/// full workflow is unit-testable. Its subcommands mirror the custodian
+/// (encode, stream-release, shard-release, decode, verify, report, harden,
+/// convert) and provider (mine) roles, plus serve-client for a running
+/// popp-serve; `popp help` lists each with its arguments, flags and exit
+/// codes. Every flag value is checked before a command runs (util/flags.h).
 
 namespace popp {
 

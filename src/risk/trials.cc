@@ -20,12 +20,6 @@ std::vector<double> CollectTrials(size_t num_trials, uint64_t seed,
   return values;
 }
 
-std::vector<double> CollectTrialsParallel(
-    size_t num_trials, uint64_t seed,
-    const std::function<double(Rng&)>& trial, size_t threads) {
-  return CollectTrials(num_trials, seed, trial, ExecPolicy{threads});
-}
-
 double MedianOverTrials(size_t num_trials, uint64_t seed,
                         const std::function<double(Rng&)>& trial,
                         const ExecPolicy& exec) {

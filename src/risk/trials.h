@@ -26,12 +26,6 @@ std::vector<double> CollectTrials(size_t num_trials, uint64_t seed,
                                   const std::function<double(Rng&)>& trial,
                                   const ExecPolicy& exec = {});
 
-/// Back-compat spelling of CollectTrials(..., ExecPolicy{threads});
-/// `threads` = 0 means hardware concurrency.
-std::vector<double> CollectTrialsParallel(
-    size_t num_trials, uint64_t seed,
-    const std::function<double(Rng&)>& trial, size_t threads = 0);
-
 /// Median over the trials.
 double MedianOverTrials(size_t num_trials, uint64_t seed,
                         const std::function<double(Rng&)>& trial,

@@ -236,6 +236,10 @@ Result<std::pair<const CachedPlan*, bool>> GetOrFitPlan(Workspace& workspace,
     return std::pair{hit, true};
   }
   POPP_RETURN_IF_ERROR(CheckRowsToFit(request));
+  if (request.schema().NumAttributes() == 0) {
+    return Status::InvalidArgument(
+        "request dataset has no attributes to fit a plan on");
+  }
   // The exact CLI fitting sequence: a fresh Rng seeded with the request
   // seed, consumed only by plan creation — byte-identical to `popp
   // encode --seed N` at every thread count.

@@ -100,25 +100,8 @@ Status SummarizeShard(const std::string& input_path,
   if (!inner.ok()) return inner.status();
   RangeChunkReader range(std::move(inner).value(), out->range);
   BeatingChunkReader reader(&range, hb);
-  std::optional<IncrementalSummary> summary;
-  std::vector<std::string> class_names;
-  for (;;) {
-    auto next = reader.NextChunk(chunk_rows);
-    if (!next.ok()) return next.status();
-    const Dataset& chunk = next.value();
-    if (chunk.NumRows() == 0) break;
-    const size_t rows_before =
-        out->range.begin + (summary.has_value() ? summary->NumRows() : 0);
-    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, rows_before));
-    if (!summary.has_value()) {
-      summary.emplace(chunk.NumAttributes());
-    }
-    summary->Absorb(chunk);
-    class_names = chunk.schema().class_names();
-  }
-  out->summary = std::move(summary);
-  out->class_names = std::move(class_names);
-  return Status::Ok();
+  return stream::SummarizeChunks(reader, chunk_rows, out->range.begin,
+                                 &out->summary, &out->class_names);
 }
 
 /// Phase 2 worker: encode the rows of one shard range with the fitted

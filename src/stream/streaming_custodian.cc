@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "data/csv.h"
 #include "parallel/parallel_for.h"
-#include "stream/incremental_summary.h"
 #include "transform/compiled.h"
 #include "transform/serialize.h"
 #include "util/crc64.h"
@@ -217,6 +215,30 @@ std::string StreamStats::Render() const {
   return oss.str();
 }
 
+Status SummarizeChunks(ChunkReader& reader, size_t chunk_rows,
+                       size_t first_row,
+                       std::optional<IncrementalSummary>* summary,
+                       std::vector<std::string>* class_names) {
+  summary->reset();
+  if (class_names != nullptr) class_names->clear();
+  for (;;) {
+    Result<Dataset> next = reader.NextChunk(chunk_rows);
+    if (!next.ok()) return next.status();
+    const Dataset& chunk = next.value();
+    if (chunk.NumRows() == 0) return Status::Ok();
+    if (chunk.NumAttributes() == 0) {
+      return Status::InvalidArgument(
+          "the input has no attributes to fit a plan on");
+    }
+    const size_t rows_before =
+        summary->has_value() ? (*summary)->NumRows() : 0;
+    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, first_row + rows_before));
+    if (!summary->has_value()) summary->emplace(chunk.NumAttributes());
+    (*summary)->Absorb(chunk);
+    if (class_names != nullptr) *class_names = chunk.schema().class_names();
+  }
+}
+
 Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
                                                   ChunkWriter& writer,
                                                   const StreamOptions& options,
@@ -227,24 +249,10 @@ Result<TransformPlan> StreamingCustodian::Release(ChunkReader& reader,
   }
   // Pass 1: fold every chunk into the incremental summary.
   const auto summarize_start = Clock::now();
-  std::unique_ptr<IncrementalSummary> summary;
-  for (;;) {
-    Result<Dataset> next = reader.NextChunk(options.chunk_rows);
-    if (!next.ok()) return next.status();
-    const Dataset& chunk = next.value();
-    if (chunk.NumRows() == 0) break;
-    const size_t rows_before = summary == nullptr ? 0 : summary->NumRows();
-    POPP_RETURN_IF_ERROR(CheckFiniteValues(chunk, rows_before));
-    if (summary == nullptr) {
-      summary = std::make_unique<IncrementalSummary>(chunk.NumAttributes());
-    }
-    summary->Absorb(chunk);
-    if (stats != nullptr) {
-      stats->peak_resident_rows =
-          std::max(stats->peak_resident_rows, chunk.NumRows());
-    }
-  }
-  if (summary == nullptr || summary->empty()) {
+  std::optional<IncrementalSummary> summary;
+  POPP_RETURN_IF_ERROR(
+      SummarizeChunks(reader, options.chunk_rows, 0, &summary));
+  if (!summary.has_value()) {
     return Status::InvalidArgument(
         "stream-release: the input stream has no data rows to fit on");
   }

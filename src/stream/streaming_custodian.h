@@ -2,12 +2,14 @@
 #define POPP_STREAM_STREAMING_CUSTODIAN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "data/schema.h"
 #include "parallel/exec_policy.h"
 #include "stream/chunk_io.h"
+#include "stream/incremental_summary.h"
 #include "stream/ood_policy.h"
 #include "transform/plan.h"
 #include "util/status.h"
@@ -73,6 +75,17 @@ struct StreamStats {
 /// manifest-of-manifests' release identity.
 std::string StreamFingerprint(const TransformPlan& plan,
                               const StreamOptions& options);
+
+/// Pass 1 of a release fitted on every row (stream and shard alike): folds
+/// each `chunk_rows`-row chunk of `reader` into `*summary`, which is
+/// replaced, and stays empty if the stream has no rows. `*class_names`, if
+/// given, receives the last chunk's class dictionary. Refuses a non-finite
+/// value, numbering rows from `first_row`, and rows without attributes,
+/// which no plan can be fitted to.
+Status SummarizeChunks(ChunkReader& reader, size_t chunk_rows,
+                       size_t first_row,
+                       std::optional<IncrementalSummary>* summary,
+                       std::vector<std::string>* class_names = nullptr);
 
 /// Stateless driver of the streamed workflow.
 class StreamingCustodian {

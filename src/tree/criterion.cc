@@ -27,6 +27,14 @@ std::string ToString(SplitCriterion criterion) {
   return "?";
 }
 
+Result<SplitCriterion> ParseSplitCriterion(std::string_view name) {
+  if (name == "gini") return SplitCriterion::kGini;
+  if (name == "entropy") return SplitCriterion::kEntropy;
+  if (name == "gainratio") return SplitCriterion::kGainRatio;
+  return Status::InvalidArgument("unknown --criterion '" + std::string(name) +
+                                 "' (expected gini, entropy or gainratio)");
+}
+
 double GiniImpurity(const std::vector<uint64_t>& counts) {
   const uint64_t n = Total(counts);
   if (n == 0) return 0.0;

@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 /// \file
 /// Split-selection criteria for decision-tree induction (paper Section 4):
@@ -32,6 +35,9 @@ enum class SplitCriterion {
 
 /// Returns "gini", "entropy" or "gain-ratio".
 std::string ToString(SplitCriterion criterion);
+
+/// Parses the `--criterion` spelling: "gini", "entropy" or "gainratio".
+Result<SplitCriterion> ParseSplitCriterion(std::string_view name);
 
 /// Gini index of a class histogram: 1 - sum_c (n_c / n)^2.
 /// Returns 0 for an empty histogram.

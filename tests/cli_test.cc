@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "core/cli.h"
+#include "data/cols.h"
 #include "data/csv.h"
 #include "fault/failpoint.h"
 #include "fault/file.h"
@@ -456,6 +458,76 @@ TEST(CliBasicsTest, ReportAndHardenRunOnConstantAttributes) {
             std::string::npos)
       << line;
   EXPECT_NE(line.find("REVIEW"), std::string::npos) << line;
+}
+
+TEST(CliBasicsTest, DatasetWithNoAttributesIsRefusedByEveryRelease) {
+  // A popp-cols container may hold rows but no attributes. No plan can be
+  // fitted to it, so each release refuses it (stream and shard release
+  // aborted, encode wrote a key that decode then refused), while mine and
+  // verify still run on it.
+  Dataset data(std::vector<std::string>{}, {"x", "y"});
+  for (int r = 0; r < 4; ++r) data.AddRow({}, r % 2);
+  const std::string path = TempPath("noattr.cols");
+  ASSERT_TRUE(WriteCols(data, path).ok());
+  const std::string out = TempPath("noattr_out.csv");
+  const std::string key = TempPath("noattr.key");
+  std::remove(key.c_str());
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"encode", path, out, key},
+           {"stream-release", path, out, key},
+           {"shard-release", path, out, key, "--shards", "2"}}) {
+    const CliResult r = RunPopp(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("no attributes"), std::string::npos)
+        << args[0] << ": " << r.err;
+  }
+  EXPECT_FALSE(std::ifstream(key).good()) << "a refused release wrote a key";
+  const CliResult mine = RunPopp({"mine", path, TempPath("noattr.tree")});
+  EXPECT_EQ(mine.code, 0) << mine.err;
+  const CliResult verify = RunPopp({"verify", path});
+  EXPECT_EQ(verify.code, 0) << verify.err;
+}
+
+TEST(CliBasicsTest, EveryBadFlagValueIsRefusedBeforeAnyFileIsOpened) {
+  // No input exists, so a run that opened a file would exit 3. A choice no
+  // parse function knows and a count out of range must be refused first,
+  // in either spelling, by the parser: exit 2, naming the flag.
+  const std::string in = "/nonexistent/in.csv";
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      runs = {
+          {{"encode", in, "o", "k"}, {"format", "policy"}},
+          {{"stream-release", in, "o", "k", "--key-in", "k"},
+           {"format", "policy", "ood-policy", "chunk-rows"}},
+          {{"shard-release", in, "o", "k"},
+           {"format", "policy", "workers-mode", "shards", "chunk-rows"}},
+          {{"mine", in, "t"}, {"format", "criterion"}},
+          {{"decode", "/nonexistent/t", "/nonexistent/k", in, "o"},
+           {"format"}},
+          {{"verify", in}, {"format", "policy", "criterion"}},
+          {{"report", in}, {"format", "trials"}},
+          {{"harden", in}, {"format", "trials", "max-risk"}},
+          {{"convert", in, "o"}, {"format", "to"}},
+      };
+  const std::set<std::string> counts = {"chunk-rows", "shards", "trials",
+                                        "max-risk"};
+  for (const auto& [command, flags] : runs) {
+    for (const std::string& flag : flags) {
+      const std::string value = counts.count(flag) > 0 ? "0" : "bogus";
+      for (const std::vector<std::string>& spelling :
+           std::vector<std::vector<std::string>>{
+               {"--" + flag, value}, {"--" + flag + "=" + value}}) {
+        std::vector<std::string> args = command;
+        args.insert(args.end(), spelling.begin(), spelling.end());
+        const CliResult r = RunPopp(args);
+        EXPECT_EQ(r.code, 2) << command[0] << " " << spelling[0] << ": "
+                             << r.err;
+        EXPECT_EQ(r.err.rfind("popp " + command[0] + ": --" + flag, 0), 0u)
+            << r.err;
+      }
+    }
+  }
 }
 
 TEST(CliBasicsTest, StreamReleaseRemovedFitModesAreUsageErrors) {

@@ -244,8 +244,7 @@ TEST(ParallelEqualityTest, CollectTrialsIsBitIdentical) {
     EXPECT_EQ(CollectTrials(33, 99, trial, ExecPolicy{threads}), serial)
         << "trial vector differs at " << threads << " threads";
   }
-  // The compatibility spelling routes to the same streams.
-  EXPECT_EQ(CollectTrialsParallel(33, 99, trial, 3), serial);
+  EXPECT_EQ(CollectTrials(33, 99, trial, ExecPolicy{3}), serial);
 }
 
 TEST(ParallelEqualityTest, MedianDomainRiskIsBitIdentical) {

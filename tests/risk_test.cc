@@ -308,16 +308,16 @@ TEST(TrialsTest, ParallelMatchesSequentialBitForBit) {
   auto trial = [](Rng& rng) { return rng.Uniform01() + rng.Uniform01(); };
   const auto sequential = CollectTrials(40, 11, trial);
   for (size_t threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(CollectTrialsParallel(40, 11, trial, threads), sequential)
+    EXPECT_EQ(CollectTrials(40, 11, trial, ExecPolicy{threads}), sequential)
         << threads << " threads";
   }
-  // Default thread count too.
-  EXPECT_EQ(CollectTrialsParallel(40, 11, trial), sequential);
+  // All hardware threads too.
+  EXPECT_EQ(CollectTrials(40, 11, trial, ExecPolicy::Hardware()), sequential);
 }
 
 TEST(TrialsTest, ParallelHandlesFewerTrialsThanThreads) {
   auto trial = [](Rng& rng) { return rng.Uniform01(); };
-  EXPECT_EQ(CollectTrialsParallel(3, 5, trial, 16).size(), 3u);
+  EXPECT_EQ(CollectTrials(3, 5, trial, ExecPolicy{16}).size(), 3u);
 }
 
 TEST(TrialsTest, ParallelRunsRealWorkload) {
@@ -333,7 +333,7 @@ TEST(TrialsTest, ParallelRunsRealWorkload) {
     ko.num_good = 4;
     return CurveFitDomainRisk(s, f, FitMethod::kPolyline, ko, rng).risk;
   };
-  EXPECT_EQ(CollectTrialsParallel(24, 3, trial, 4),
+  EXPECT_EQ(CollectTrials(24, 3, trial, ExecPolicy{4}),
             CollectTrials(24, 3, trial));
 }
 

@@ -1061,6 +1061,45 @@ TEST_F(ServeEndToEndTest, DegenerateDatasetsGetRepliesAndTheDaemonLivesOn) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+TEST_F(ServeEndToEndTest, DatasetWithNoAttributesIsRefusedAtTheFitPoint) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("noattr");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+
+  // A popp-cols container may hold rows but no attributes. No plan can be
+  // fitted to it, so a cold fit or encode is refused instead of caching a
+  // key that `popp decode` would then refuse.
+  Dataset no_attributes(std::vector<std::string>{}, {"x", "y"});
+  for (int r = 0; r < 4; ++r) no_attributes.AddRow({}, r % 2);
+  RequestBody request;
+  request.dataset = SerializeCols(no_attributes);
+  for (const Tag tag : {Tag::kFit, Tag::kEncode}) {
+    auto reply = client.Call(tag, "fresh", request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().text,
+              "INVALID_ARGUMENT: request dataset has no attributes to fit a "
+              "plan on")
+        << TagName(tag);
+  }
+  // Both were served (stats counts itself too) and missed the cache
+  // without filling it.
+  auto stats = client.Call(Tag::kStats, "fresh", RequestBody{});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats.value().ok()) << stats.value().text;
+  for (const char* line : {"requests_served: 3\n", "plans_resident: 0\n",
+                           "cache_misses: 2\n"}) {
+    EXPECT_NE(stats.value().body.find(line), std::string::npos)
+        << stats.value().body;
+  }
+  auto health = client.Call(Tag::kHealth, "t", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok()) << health.value().text;
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
 TEST(ServeLifecycleTest, RefusesSocketAnotherDaemonListensOn) {
   ServeOptions options;
   options.socket_path = TempSocketPath("live");

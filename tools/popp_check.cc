@@ -16,13 +16,10 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: popp_check [options]
 
-Runs seeded randomized trials of the popp invariant oracles
-(encode_bijective, global_invariant, label_runs, tree_equivalence,
-tree_equivalence_pruned, serialize_roundtrip, stream_vs_batch,
-cols_vs_csv, compiled_vs_interpreted, fault_crash_safety,
-shard_vs_stream, serve_vs_cli, parallel_determinism) and prints a pass/fail
-table. On the first failure the case is shrunk to a minimal reproducer
-and written as <out>/popp_check_repro.{csv,recipe}.
+Runs seeded randomized trials of the popp invariant oracles (listed
+below) and prints a pass/fail table. On the first failure the case is
+shrunk to a minimal reproducer and written as
+<out>/popp_check_repro.{csv,recipe}.
 
 options:
   --trials N          number of random trials (default 200)
@@ -38,7 +35,17 @@ options:
 
 exit status: 0 all oracles passed, 1 a failure was found (or a replayed
 recipe still fails), 2 bad usage.
-)";
+
+oracles:)";
+
+/// Every oracle's name, each after a space.
+std::string OracleNames() {
+  std::string names;
+  for (const auto& oracle : popp::check::AllOracles()) {
+    names += " " + oracle.name;
+  }
+  return names;
+}
 
 }  // namespace
 
@@ -54,7 +61,7 @@ int main(int argc, char** argv) {
     };
     uint64_t n = 0;
     if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
+      std::cout << kUsage << OracleNames() << "\n";
       return 0;
     } else if (arg == "--trials") {
       const std::string* v = value();
@@ -88,11 +95,8 @@ int main(int argc, char** argv) {
         known = known || oracle.name == *v;
       }
       if (!known) {
-        std::cerr << "popp_check: no oracle named '" << *v << "' (have:";
-        for (const auto& oracle : popp::check::AllOracles()) {
-          std::cerr << " " << oracle.name;
-        }
-        std::cerr << ")\n";
+        std::cerr << "popp_check: no oracle named '" << *v
+                  << "' (have:" << OracleNames() << ")\n";
         return 2;
       }
       options.only_oracle = *v;

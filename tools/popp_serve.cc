@@ -4,13 +4,13 @@
 // the length-prefixed binary protocol (src/serve/). Drive it with
 // `popp serve-client`.
 
-#include <cstdint>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/server.h"
-#include "util/decimal.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -21,7 +21,7 @@ once per (schema fingerprint, seed, policy) and kept hot in a per-tenant
 LRU, so a warm encode is one compiled-kernel pass instead of a refit.
 Requests are issued with `popp serve-client <socket-path> <op> ...`.
 
-options:
+options (each also written --name=value):
   --threads N           connection worker threads      (default 4)
   --cache-capacity N    per-tenant hot-plan LRU size   (default 64)
   --max-request-threads N
@@ -46,83 +46,50 @@ exit codes: 0 graceful shutdown, 1 runtime failure, 2 usage error
 (including a live socket), 3 socket/I-O error.
 )";
 
+popp::Status NeedsDirectory(std::string_view dir) {
+  return dir.empty() ? popp::Status::InvalidArgument("needs a directory path")
+                     : popp::Status::Ok();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  popp::serve::ServeOptions options;
-
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto value = [&]() -> const std::string* {
-      return i + 1 < args.size() ? &args[++i] : nullptr;
-    };
+  for (const std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
       std::cout << kUsage;
       return 0;
-    } else if (arg == "--threads") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.num_threads) ||
-          options.num_threads == 0) {
-        std::cerr << "popp-serve: --threads needs a positive integer\n";
-        return 2;
-      }
-    } else if (arg == "--cache-capacity") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.cache_capacity) ||
-          options.cache_capacity == 0) {
-        std::cerr << "popp-serve: --cache-capacity needs a positive "
-                     "integer\n";
-        return 2;
-      }
-    } else if (arg == "--max-request-threads") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.max_request_threads) ||
-          options.max_request_threads == 0) {
-        std::cerr << "popp-serve: --max-request-threads needs a positive "
-                     "integer\n";
-        return 2;
-      }
-    } else if (arg == "--max-inflight") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.max_inflight)) {
-        std::cerr << "popp-serve: --max-inflight needs an integer "
-                     "(0 = match --threads)\n";
-        return 2;
-      }
-    } else if (arg == "--max-queue") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.max_queue)) {
-        std::cerr << "popp-serve: --max-queue needs an integer\n";
-        return 2;
-      }
-    } else if (arg == "--tenant-cap") {
-      const std::string* v = value();
-      if (!v || !popp::ParseDecimalU64(*v, &options.per_tenant_inflight)) {
-        std::cerr << "popp-serve: --tenant-cap needs an integer (0 = off)\n";
-        return 2;
-      }
-    } else if (arg == "--save-dir") {
-      const std::string* v = value();
-      if (!v || v->empty()) {
-        std::cerr << "popp-serve: --save-dir needs a directory path\n";
-        return 2;
-      }
-      options.save_dir = *v;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "popp-serve: unknown option '" << arg << "'\n" << kUsage;
-      return 2;
-    } else if (options.socket_path.empty()) {
-      options.socket_path = arg;
-    } else {
-      std::cerr << "popp-serve: unexpected argument '" << arg << "'\n"
-                << kUsage;
-      return 2;
     }
   }
-  if (options.socket_path.empty()) {
+  const auto parsed = popp::ParseFlags(
+      args,
+      {popp::NumberFlag("threads", 1), popp::NumberFlag("cache-capacity", 1),
+       popp::NumberFlag("max-request-threads", 1),
+       popp::TextFlag("save-dir", NeedsDirectory),
+       popp::NumberFlag("max-inflight"), popp::NumberFlag("max-queue"),
+       popp::NumberFlag("tenant-cap")},
+      "popp-serve --help");
+  if (!parsed.ok()) {
+    std::cerr << "popp-serve: " << parsed.status().message() << "\n";
+    return 2;
+  }
+  const popp::ParsedFlags& flags = parsed.value();
+  // One socket path; a lone "-x" is a mistyped option, not a path.
+  if (flags.positional.size() != 1 || flags.positional[0].rfind('-', 0) == 0) {
     std::cerr << kUsage;
     return 2;
   }
+  popp::serve::ServeOptions options;
+  options.socket_path = flags.positional[0];
+  options.num_threads = flags.Number("threads", options.num_threads);
+  options.cache_capacity =
+      flags.Number("cache-capacity", options.cache_capacity);
+  options.max_request_threads =
+      flags.Number("max-request-threads", options.max_request_threads);
+  options.save_dir = flags.Text("save-dir");
+  options.max_inflight = flags.Number("max-inflight", options.max_inflight);
+  options.max_queue = flags.Number("max-queue", options.max_queue);
+  options.per_tenant_inflight =
+      flags.Number("tenant-cap", options.per_tenant_inflight);
   return popp::serve::RunServer(options, std::cout, std::cerr);
 }
