@@ -35,7 +35,8 @@
 # whose tree splits on an attribute the data lacks and a header-only CSV
 # as an encode and as a verify (each must be refused by name), and a risk
 # request on a constant column (which must succeed), while the daemon
-# keeps answering `health`, then drains it to exit 0. Both
+# keeps answering `health`, then drains it to exit 0; a bad --format to
+# `popp encode` and --threads 0 to popp-serve must each exit 2. Both
 # stages also run the supervised_convergence oracle — randomized
 # crash/error/delay schedules over the shard pipeline and the admission-
 # controlled daemon, under a hard wall-clock timeout so an undetected
@@ -281,8 +282,10 @@ echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # as an encode to a fresh tenant and as a verify), each refused by name,
 # and a risk report on a constant column, which must succeed, while the
 # daemon still answers `health` (one-shot `popp encode` refuses the
-# header-only CSV too), then shut the daemon down and verify it drained
-# (exit 0) and removed its socket.
+# header-only CSV too, and a bad --format with exit 2 before it opens the
+# missing input; popp-serve --threads 0 exits 2 without a socket), then
+# shut the daemon down and verify it drained (exit 0) and removed its
+# socket.
 cmake --build "$build_dir" -j "$(nproc)" --target popp_serve popp_cli
 serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -309,14 +312,17 @@ cmp "$serve_dir/oneshot.csv" "$serve_dir/served.csv"
 "$build_dir/tools/popp" convert "$serve_dir/served.cols" \
   "$serve_dir/served_from_cols.csv"
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served_from_cols.csv"
-# refused MESSAGE ARGS...: `popp ARGS` must fail, naming MESSAGE.
+# refused MESSAGE ARGS...: `popp ARGS` must fail, naming MESSAGE; its
+# exit code is left in $refused_exit.
 refused() {
   local message="$1"
   shift
-  if "$build_dir/tools/popp" "$@" 2> "$serve_dir/refused.err"; then
+  refused_exit=0
+  "$build_dir/tools/popp" "$@" 2> "$serve_dir/refused.err" || refused_exit=$?
+  if [ "$refused_exit" = 0 ]; then
     echo "popp $* succeeded; expected a refusal naming: $message"; exit 1
   fi
-  grep -qF "$message" "$serve_dir/refused.err" || {
+  grep -qF -- "$message" "$serve_dir/refused.err" || {
     echo "popp $* was refused without naming '$message':"
     cat "$serve_dir/refused.err"; exit 1
   }
@@ -342,6 +348,16 @@ refused "no data rows" serve-client "$sock" verify "$serve_dir/empty.csv"
   --trials 3 > "$serve_dir/constant.risk"
 refused "no data rows" encode "$serve_dir/empty.csv" \
   "$serve_dir/empty_out.csv" "$serve_dir/empty_out.key"
+# A bad flag value is a usage error named before any file is opened.
+refused "--format" encode "$serve_dir/missing.csv" o k --format bogus
+[ "$refused_exit" = 2 ] || {
+  echo "a bad --format exited $refused_exit, not 2"; exit 1
+}
+bad_exit=0
+"$build_dir/tools/popp-serve" "$serve_dir/bad.sock" --threads 0 || bad_exit=$?
+[ "$bad_exit" = 2 ] && [ ! -e "$serve_dir/bad.sock" ] || {
+  echo "popp-serve --threads 0 exited $bad_exit or left its socket"; exit 1
+}
 "$build_dir/tools/popp" serve-client "$sock" health
 "$build_dir/tools/popp" serve-client "$sock" shutdown
 wait "$serve_pid"
