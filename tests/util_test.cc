@@ -379,37 +379,50 @@ TEST(Crc64Test, KnownVectors) {
   EXPECT_EQ(Crc64(""), 0ull);
 }
 
+std::string RandomBytes(uint64_t seed, size_t size) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
 TEST(Crc64Test, MatchesBitwiseReferenceOnEveryLengthAndAlignment) {
-  Rng rng(7);
-  std::string bytes;
-  for (size_t i = 0; i < 64; ++i) {
-    bytes.push_back(static_cast<char>(rng.UniformInt(0, 255)));
-  }
-  // Every (offset, length) window exercises the 8-byte folded loop's
-  // head, body and tail in all alignments.
-  for (size_t offset = 0; offset < 9; ++offset) {
-    for (size_t length = 0; length + offset <= bytes.size(); ++length) {
+  // Every (offset, length) window up to 1,100 bytes exercises the 8-byte
+  // loop's head, body and tail in all alignments, and, past the folding
+  // kernel's size threshold, every remainder mod 16 and mod 64 of its
+  // four-lane loop, its 16-byte blocks and its tail.
+  const std::string bytes = RandomBytes(7, 1100 + 15);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
       const std::string_view window(bytes.data() + offset, length);
       ASSERT_EQ(Crc64(window), ReferenceCrc64(window))
           << "offset=" << offset << " length=" << length;
     }
   }
+  // A body the size of a large frame, with an odd length.
+  const std::string large = RandomBytes(9, (size_t{4} << 20) + 1001);
+  EXPECT_EQ(Crc64(large), ReferenceCrc64(large));
 }
 
 TEST(Crc64Test, StreamingSplitsAgreeWithOneShot) {
-  Rng rng(11);
-  std::string bytes;
-  for (size_t i = 0; i < 1000; ++i) {
-    bytes.push_back(static_cast<char>(rng.UniformInt(0, 255)));
-  }
+  // Every split point, so both halves cross the folding threshold, land
+  // on and beside 16- and 64-byte boundaries and cut the four-lane loop.
+  const std::string bytes = RandomBytes(11, 1000);
   const uint64_t whole = Crc64(bytes);
-  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                       size_t{9}, size_t{500}, size_t{999}}) {
+  for (size_t split = 0; split <= bytes.size(); ++split) {
     Crc64Stream stream;
     stream.Update(std::string_view(bytes).substr(0, split));
     stream.Update(std::string_view(bytes).substr(split));
-    EXPECT_EQ(stream.value(), whole) << "split=" << split;
+    ASSERT_EQ(stream.value(), whole) << "split=" << split;
   }
+  // 64 KiB feeds, as shard finalize hashes a file, end in a short one.
+  const std::string large = RandomBytes(13, (size_t{4} << 20) + 1001);
+  Crc64Stream stream;
+  for (size_t at = 0; at < large.size(); at += size_t{64} << 10) {
+    stream.Update(std::string_view(large).substr(at, size_t{64} << 10));
+  }
+  EXPECT_EQ(stream.bytes_fed(), large.size());
+  EXPECT_EQ(stream.value(), ReferenceCrc64(large));
 }
 
 // ------------------------------------------------------------- decimal --

@@ -42,8 +42,13 @@
 # controlled daemon, under a hard wall-clock timeout so an undetected
 # hang fails the gate instead of stalling it — plus the resilience-layer
 # test battery (retry/deadline/admission, the worker watchdog, the
-# startup debris sweep and the hang-injection fail points). The last
-# stage builds the release benchmark (perfbench/) against this checkout
+# startup debris sweep and the hang-injection fail points). Both
+# sanitizer builds tune for the host (POPP_NATIVE), so on an x86-64 host
+# with PCLMULQDQ they run CRC-64's carry-less-multiply kernel; a third,
+# unsanitized POPP_NATIVE=OFF build runs the CRC-64 tests and the
+# checksum-guarded suites (popp-cols, serve frames, manifests, goldens,
+# stream resume, shard release) on the slice-by-8 loop that such a build
+# uses for inputs of every length. The last stage builds the release benchmark (perfbench/) against this checkout
 # and runs its tiny self-check, so a library change that breaks the
 # benchmark fails here instead of at the next benchmark run. Any
 # failure — test, sanitizer report, oracle, benchmark self-check, or
@@ -169,6 +174,22 @@ timeout 900 "$build_dir/tools/popp_check" --oracle supervised_convergence \
   --trials 40 --seed 29 --out "$build_dir"
 "$build_dir/tests/popp_tests" \
   --gtest_filter='ResilRetry*:ResilDeadline*:ResilHeartbeat*:ResilAdmission*:ResilSupervisor*:ServeAdmission*:ShardSweep*:ShardProcessSupervision*:FailPointDelay*'
+
+echo "== configure (portable: POPP_NATIVE=OFF, no sanitizer) =="
+# Without -march=native CRC-64 has no carry-less-multiply kernel and
+# hashes long inputs with the slice-by-8 loop; every checksum, golden
+# and container byte must come out the same.
+portable_build_dir="${build_dir}-portable"
+cmake -B "$portable_build_dir" -S "$repo_root" \
+  -DPOPP_NATIVE=OFF -DPOPP_SANITIZE= \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+
+echo "== build (portable) =="
+cmake --build "$portable_build_dir" -j "$(nproc)" --target popp_tests
+
+echo "== CRC-64 and checksum-guarded tests on the slice-by-8 path =="
+"$portable_build_dir/tests/popp_tests" \
+  --gtest_filter='Crc64*:Cols*:ServeProtocol*:ColsServeEncode*:Manifest*:MetaManifest*:SerializeGolden*:StreamResume*:ShardRelease*'
 
 echo "== configure (TSan) =="
 cmake -B "$tsan_build_dir" -S "$repo_root" \
