@@ -48,9 +48,10 @@
 # unsanitized POPP_NATIVE=OFF build runs the CRC-64 tests and the
 # checksum-guarded suites (popp-cols, serve frames, manifests, goldens,
 # stream resume, shard release) on the slice-by-8 loop that such a build
-# uses for inputs of every length. The last stage builds the release benchmark (perfbench/) against this checkout
-# and runs its tiny self-check, so a library change that breaks the
-# benchmark fails here instead of at the next benchmark run. Any
+# uses for inputs of every length. The last stage builds the release
+# benchmark (perfbench/) against this checkout and runs its tiny
+# self-check, so a library change that breaks the benchmark fails here
+# instead of at the next benchmark run. Any
 # failure — test, sanitizer report, oracle, benchmark self-check, or
 # timeout — fails the script.
 
