@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "fault/file.h"
 #include "resil/deadline.h"
@@ -64,7 +65,8 @@ Result<ReplyBody> ServeClient::Call(Tag tag, const std::string& tenant,
   if (fd_ < 0) {
     return Status::FailedPrecondition("Call() before a successful Connect()");
   }
-  POPP_RETURN_IF_ERROR(SendFrame(fd_, tag, tenant, request.Encode()));
+  POPP_RETURN_IF_ERROR(
+      SendFrame(fd_, tag, tenant, {request.EncodeHead(), request.dataset}));
   auto frame = RecvFrame(fd_);
   if (!frame.ok()) return frame.status();
   if (frame.value().tag != Tag::kReply) {
@@ -72,7 +74,7 @@ Result<ReplyBody> ServeClient::Call(Tag tag, const std::string& tenant,
                             std::string(TagName(frame.value().tag)) +
                             " instead of a reply frame");
   }
-  return ReplyBody::Decode(frame.value().payload);
+  return ReplyBody::Decode(std::move(frame.value().payload));
 }
 
 Result<ReplyBody> ServeClient::CallWithRetry(Tag tag,

@@ -2,7 +2,9 @@
 #define POPP_SERVE_PROTOCOL_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -30,7 +32,9 @@
 /// unsupported version byte is `kInvalidArgument` carrying both versions,
 /// so a client from the future gets an actionable diagnostic instead of a
 /// checksum coincidence. `frame_len` is bounded by `max_frame_bytes`
-/// (default 1 GiB) so a garbage prefix cannot drive an allocation.
+/// (default 1 GiB), and a reader's memory follows the bytes that arrive,
+/// not the prefix: a prefix that promises a large body and sends none
+/// commits at most one receive step (`kRecvStepBytes`).
 ///
 /// Request payloads for the dataset-carrying ops (fit, encode, decode,
 /// verify, risk) share one shape, `RequestBody`:
@@ -47,15 +51,29 @@
 ///     u32 text_len    · human-readable summary / diagnostic
 ///     body bytes      binary result (released CSV, plan or tree document)
 ///
-/// The frame codec is pure byte-string in/out so the malformed-input tests
-/// need no socket; `SendFrame`/`RecvFrame` wrap it for a connected fd.
+/// `EncodeFrame`/`DecodeFrame` work on one byte string, so the
+/// malformed-input tests need no socket. `SendFrame`/`RecvFrame` move the
+/// same bytes over a connected fd without copying a body in user space:
+/// `SendFrame` writes the frame head, the payload's parts and the CRC
+/// trailer in one gather write, so a request's dataset or a reply's body
+/// goes out from the buffer that holds it; `RecvFrame` reads the tenant
+/// and the payload straight into the `Frame`'s own strings, and the body
+/// `Decode`s hand the payload's buffer on as the dataset or body. Both
+/// directions share one frame layout and one set of frame checks with
+/// the byte-string codec, so `SendFrame` emits exactly `EncodeFrame`'s
+/// bytes and `RecvFrame` refuses a malformed frame with exactly
+/// `DecodeFrame`'s status.
 
 namespace popp::serve {
 
 inline constexpr uint8_t kProtocolVersion = 1;
 
-/// Hard ceiling a reader enforces on frame_len before allocating.
+/// Hard ceiling a reader enforces on frame_len before reading the body.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 1u << 30;
+
+/// A reader sizes a frame's payload at most this far ahead of the bytes
+/// it has received, so a length prefix alone cannot commit memory.
+inline constexpr size_t kRecvStepBytes = size_t{1} << 20;
 
 /// Frame tags. Requests are dispatched by DispatchOp (serve/ops.h);
 /// kReply marks every server response.
@@ -91,8 +109,11 @@ std::string EncodeFrame(Tag tag, std::string_view tenant,
                         std::string_view payload);
 
 /// Decodes one complete frame from `bytes` (which must hold exactly one
-/// frame). Truncation and CRC damage are `kDataLoss`; a version mismatch
-/// is `kInvalidArgument`; an oversize length is `kInvalidArgument`.
+/// frame). Checks in this order: an oversize length is
+/// `kInvalidArgument`; truncation, a frame too short for its head and
+/// trailer, and CRC damage are `kDataLoss`; a version mismatch is
+/// `kInvalidArgument`; a tenant length that overruns the body is
+/// `kDataLoss`.
 Result<Frame> DecodeFrame(std::string_view bytes,
                           uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
 
@@ -102,8 +123,13 @@ struct RequestBody {
   std::string extra;    ///< op-specific second section (decode: tree doc)
   std::string dataset;  ///< CSV bytes or a popp-cols container
 
+  /// The payload up to the dataset: the options and extra sections.
+  std::string EncodeHead() const;
+  /// The whole payload: EncodeHead() followed by the dataset.
   std::string Encode() const;
-  static Result<RequestBody> Decode(std::string_view payload);
+  /// Takes the payload by value: the dataset keeps the payload's buffer,
+  /// so a caller that moves a received payload in copies no dataset byte.
+  static Result<RequestBody> Decode(std::string payload);
 };
 
 /// The shared reply-payload shape.
@@ -113,8 +139,12 @@ struct ReplyBody {
   std::string body;  ///< binary result
 
   bool ok() const { return code == StatusCode::kOk; }
+  /// The payload up to the body: the code and the text section.
+  std::string EncodeHead() const;
+  /// The whole payload: EncodeHead() followed by the body.
   std::string Encode() const;
-  static Result<ReplyBody> Decode(std::string_view payload);
+  /// Takes the payload by value: the body keeps the payload's buffer.
+  static Result<ReplyBody> Decode(std::string payload);
 
   static ReplyBody Ok(std::string text, std::string body = {}) {
     return ReplyBody{StatusCode::kOk, std::move(text), std::move(body)};
@@ -124,23 +154,30 @@ struct ReplyBody {
   }
 };
 
-/// Writes one frame to a connected socket fd, looping over partial writes
-/// in 100 ms poll slices. Writes use MSG_NOSIGNAL, so a peer that closed
-/// mid-reply is an `kIoError` (EPIPE) on this connection — never a
+/// Writes one frame to a connected socket fd. The payload is the
+/// concatenation of `payload`'s parts (any may be empty); the frame head,
+/// the parts and the CRC trailer go out in `sendmsg` gather writes, so no
+/// part is copied, and the bytes on the wire are exactly
+/// `EncodeFrame(tag, tenant, <the parts joined>)`. Loops over partial
+/// writes in 100 ms poll slices. Writes use MSG_NOSIGNAL, so a peer that
+/// closed mid-reply is an `kIoError` (EPIPE) on this connection — never a
 /// process-wide SIGPIPE. When `stop` is non-null and becomes true while
 /// the peer is not consuming (the socket stays unwritable for a slice),
 /// the write aborts with `kFailedPrecondition` so a stalled reader cannot
 /// block the server's drain. An oversize tenant/payload (frame length
 /// would overflow the u32 prefix) is `kInvalidArgument` without writing.
 Status SendFrame(int fd, Tag tag, std::string_view tenant,
-                 std::string_view payload,
+                 std::initializer_list<std::string_view> payload,
                  const std::atomic<bool>* stop = nullptr);
 
-/// Reads one frame from a connected socket fd. Blocks in 100 ms poll
-/// slices; when `stop` is non-null and becomes true the read aborts with
-/// `kFailedPrecondition` (the server's drain path closes idle connections
-/// this way). A clean EOF before any byte is `kNotFound` ("peer closed");
-/// EOF mid-frame is `kDataLoss` (a truncated frame).
+/// Reads one frame from a connected socket fd, the tenant and the payload
+/// straight into the returned `Frame`'s strings; the payload is sized at
+/// most `kRecvStepBytes` ahead of the bytes received. Blocks in 100 ms
+/// poll slices; when `stop` is non-null and becomes true the read aborts
+/// with `kFailedPrecondition` (the server's drain path closes idle
+/// connections this way). A clean EOF before any byte is `kNotFound`
+/// ("peer closed"); any other malformed frame, an EOF mid-frame
+/// included, gets the status `DecodeFrame` gives the same bytes.
 Result<Frame> RecvFrame(int fd, const std::atomic<bool>* stop = nullptr,
                         uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
 

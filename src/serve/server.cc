@@ -60,6 +60,13 @@ resil::AdmissionOptions AdmissionFromServe(const ServeOptions& options) {
   return admission;
 }
 
+/// Sends `reply` as one frame; its body goes out from its own buffer.
+Status SendReply(int fd, const ReplyBody& reply,
+                 const std::atomic<bool>* stop) {
+  return SendFrame(fd, Tag::kReply, "", {reply.EncodeHead(), reply.body},
+                   stop);
+}
+
 std::atomic<Server*> g_signal_server{nullptr};
 
 void HandleShutdownSignal(int /*signo*/) {
@@ -183,9 +190,7 @@ void Server::HandleConnection(int fd) {
       if (code != StatusCode::kNotFound &&
           code != StatusCode::kFailedPrecondition) {
         rejected_frames_.fetch_add(1, std::memory_order_relaxed);
-        (void)SendFrame(fd, Tag::kReply, "",
-                        ReplyBody::Error(frame.status()).Encode(),
-                        &shutdown_);
+        (void)SendReply(fd, ReplyBody::Error(frame.status()), &shutdown_);
       }
       break;
     }
@@ -196,10 +201,8 @@ void Server::HandleConnection(int fd) {
       // stopped consuming aborts within one poll slice instead of
       // holding the drain open.
       RequestShutdown();
-      (void)SendFrame(
-          fd, Tag::kReply, "",
-          ReplyBody::Ok("draining in-flight requests, then exiting")
-              .Encode(),
+      (void)SendReply(
+          fd, ReplyBody::Ok("draining in-flight requests, then exiting"),
           &shutdown_);
       break;
     }
@@ -214,8 +217,7 @@ void Server::HandleConnection(int fd) {
       stats += "connections " + std::to_string(connections_.load(
                                     std::memory_order_relaxed)) +
                "\n";
-      if (!SendFrame(fd, Tag::kReply, "",
-                     ReplyBody::Ok("healthy", std::move(stats)).Encode(),
+      if (!SendReply(fd, ReplyBody::Ok("healthy", std::move(stats)),
                      &shutdown_)
                .ok()) {
         break;
@@ -224,7 +226,7 @@ void Server::HandleConnection(int fd) {
     }
 
     ReplyBody reply;
-    auto body = RequestBody::Decode(frame.value().payload);
+    auto body = RequestBody::Decode(std::move(frame.value().payload));
     if (!body.ok()) {
       reply = ReplyBody::Error(body.status());
     } else {
@@ -251,7 +253,7 @@ void Server::HandleConnection(int fd) {
         reply = ReplyBody::Error(admitted);
       }
     }
-    if (!SendFrame(fd, Tag::kReply, "", reply.Encode(), &shutdown_).ok()) {
+    if (!SendReply(fd, reply, &shutdown_).ok()) {
       break;
     }
   }

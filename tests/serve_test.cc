@@ -7,11 +7,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,7 +49,56 @@ std::string TempSocketPath(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol framing (pure byte-string codec, no socket).
+// Protocol framing: the byte-string codec, and the same frames over a
+// socketpair.
+
+/// A connected AF_UNIX stream pair; closes whichever ends are still open.
+struct SocketPair {
+  int fds[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  ~SocketPair() {
+    for (const int fd : fds) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  void Close(int end) {
+    ::close(fds[end]);
+    fds[end] = -1;
+  }
+};
+
+/// Writes `bytes` until done or the peer is gone (EPIPE, no SIGPIPE).
+void SendAllNoSignal(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+/// Feeds `bytes` to RecvFrame through a socketpair: a second thread
+/// writes them and then shuts its end, so RecvFrame sees EOF after them.
+Result<Frame> RecvFromBytes(const std::string& bytes,
+                            uint32_t max_frame_bytes = kDefaultMaxFrameBytes) {
+  SocketPair pair;
+  std::thread writer([&] {
+    SendAllNoSignal(pair.fds[0], bytes);
+    ::shutdown(pair.fds[0], SHUT_WR);
+  });
+  auto frame = RecvFrame(pair.fds[1], nullptr, max_frame_bytes);
+  pair.Close(1);  // unblocks a writer whose bytes RecvFrame left unread
+  writer.join();
+  return frame;
+}
+
+/// The little-endian u32 length prefix of a frame.
+std::string LengthPrefix(uint32_t frame_len) {
+  std::string bytes;
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<char>((frame_len >> (8 * i)) & 0xff));
+  }
+  return bytes;
+}
 
 TEST(ServeProtocolTest, FrameRoundTrip) {
   const std::string payload("payload \x01\x02\x00 bytes", 17);
@@ -85,6 +138,17 @@ TEST(ServeProtocolTest, DamagedByteIsCrcDataLoss) {
   EXPECT_NE(frame.status().message().find("CRC"), std::string::npos);
 }
 
+/// Wraps a hand-laid body in its length prefix and a valid CRC trailer.
+std::string FrameAroundBody(const std::string& body) {
+  const uint64_t crc = Crc64(body);
+  std::string bytes = LengthPrefix(static_cast<uint32_t>(body.size() + 8));
+  bytes += body;
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  return bytes;
+}
+
 /// Builds a frame by hand so the version byte can disagree while the CRC
 /// stays valid (EncodeFrame always stamps the supported version).
 std::string HandcraftedFrame(uint8_t version, Tag tag,
@@ -98,17 +162,7 @@ std::string HandcraftedFrame(uint8_t version, Tag tag,
   body.push_back(static_cast<char>(tenant_len >> 8));
   body += tenant;
   body += payload;
-  const uint64_t crc = Crc64(body);
-  const uint32_t frame_len = static_cast<uint32_t>(body.size() + 8);
-  std::string bytes;
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<char>((frame_len >> (8 * i)) & 0xff));
-  }
-  bytes += body;
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  return bytes;
+  return FrameAroundBody(body);
 }
 
 TEST(ServeProtocolTest, VersionMismatchIsInvalidArgumentNamingBoth) {
@@ -136,6 +190,12 @@ TEST(ServeProtocolTest, OversizeFrameIsRejectedBeforeAllocation) {
   auto frame = DecodeFrame(bytes, /*max_frame_bytes=*/64);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  // Over a socket the prefix alone is refused: RecvFrame reads no further
+  // (had it waited for the body, the EOF would read as truncation).
+  auto received = RecvFromBytes(bytes.substr(0, 4), /*max_frame_bytes=*/64);
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(received.status().message(), frame.status().message());
 }
 
 TEST(ServeProtocolTest, RequestBodyRoundTrip) {
@@ -168,6 +228,138 @@ TEST(ServeProtocolTest, ParseTagNames) {
     EXPECT_EQ(parsed.value(), tag);
   }
   EXPECT_FALSE(ParseTag("frobnicate").ok());
+}
+
+/// Sends one frame with SendFrame from a second thread while this thread
+/// drains the socket in small reads, with the writer's send buffer at
+/// its minimum, so the gather write returns partial counts inside and
+/// between parts. Returns what arrived, at most `expected + 1` bytes: a
+/// writer that repeats bytes is cut off instead of sending forever.
+std::string ReceiveSentFrame(Tag tag, std::string_view tenant,
+                             std::initializer_list<std::string_view> parts,
+                             size_t expected, Status* sent) {
+  SocketPair pair;
+  const int small = 4096;
+  ::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  std::thread writer([&] {
+    *sent = SendFrame(pair.fds[0], tag, tenant, parts);
+    ::shutdown(pair.fds[0], SHUT_WR);
+  });
+  std::string got;
+  char buf[1021];
+  while (got.size() <= expected) {
+    const ssize_t n = ::read(pair.fds[1], buf, sizeof(buf));
+    if (n <= 0) break;
+    got.append(buf, static_cast<size_t>(n));
+  }
+  pair.Close(1);  // a writer still sending gets EPIPE, not a hang
+  writer.join();
+  return got;
+}
+
+TEST(ServeProtocolTest, SendFrameGathersPartsIntoEncodeFrameBytes) {
+  std::string pattern(size_t{4} << 20, '\0');
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<char>(i * 131 + (i >> 12));
+  }
+  for (const size_t size :
+       {size_t{0}, size_t{1}, size_t{4096}, pattern.size()}) {
+    const std::string_view payload = std::string_view(pattern).substr(0, size);
+    const std::string want = EncodeFrame(Tag::kEncode, "tenant-a", payload);
+    auto check = [&](const std::string& what,
+                     std::initializer_list<std::string_view> parts) {
+      Status sent;
+      const std::string got = ReceiveSentFrame(Tag::kEncode, "tenant-a",
+                                               parts, want.size(), &sent);
+      const std::string label =
+          what + ", " + std::to_string(size) + "-byte payload";
+      EXPECT_TRUE(sent.ok()) << label << ": " << sent.ToString();
+      EXPECT_EQ(got.size(), want.size()) << label;
+      EXPECT_TRUE(got == want) << label << ": bytes differ from EncodeFrame";
+      auto frame = DecodeFrame(got);
+      ASSERT_TRUE(frame.ok()) << label << ": " << frame.status().ToString();
+      EXPECT_TRUE(frame.value().payload == payload) << label;
+    };
+    check("one part", {payload});
+    const size_t third = size / 3;
+    const size_t two_thirds = (2 * size + 2) / 3;
+    const std::pair<size_t, size_t> cuts[] = {
+        {0, 0}, {0, size}, {third, third}, {third, two_thirds}, {size, size}};
+    for (const auto& [a, b] : cuts) {
+      const std::string at =
+          " cut at " + std::to_string(a) + "/" + std::to_string(b);
+      check("two parts" + at, {payload.substr(0, a), payload.substr(a)});
+      check("three parts" + at, {payload.substr(0, a),
+                                 payload.substr(a, b - a), payload.substr(b)});
+    }
+  }
+}
+
+/// RecvFrame must give `bytes` the verdict DecodeFrame gives them: the
+/// same frame, or the same code and text.
+void ExpectRecvMatchesDecode(const std::string& bytes, const std::string& what,
+                             uint32_t max_frame_bytes = kDefaultMaxFrameBytes) {
+  const auto want = DecodeFrame(bytes, max_frame_bytes);
+  const auto got = RecvFromBytes(bytes, max_frame_bytes);
+  ASSERT_EQ(got.ok(), want.ok())
+      << what << ": RecvFrame "
+      << (got.ok() ? "OK" : got.status().ToString()) << ", DecodeFrame "
+      << (want.ok() ? "OK" : want.status().ToString());
+  if (want.ok()) {
+    EXPECT_EQ(got.value().tag, want.value().tag) << what;
+    EXPECT_EQ(got.value().tenant, want.value().tenant) << what;
+    EXPECT_TRUE(got.value().payload == want.value().payload) << what;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+  }
+}
+
+TEST(ServeProtocolTest, RecvFrameRefusesMalformedFramesAsDecodeFrameDoes) {
+  const std::string frame =
+      EncodeFrame(Tag::kStats, "tenant", "payload bytes");
+  ExpectRecvMatchesDecode(frame, "intact frame");
+  // EOF before the first byte is a clean close, not a malformed frame.
+  auto closed = RecvFromBytes("");
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kNotFound);
+  for (size_t cut = 1; cut < frame.size(); ++cut) {
+    ExpectRecvMatchesDecode(frame.substr(0, cut),
+                            "truncated at " + std::to_string(cut));
+  }
+  for (size_t i = 0; i < frame.size(); ++i) {
+    std::string flipped = frame;
+    flipped[i] = static_cast<char>(flipped[i] ^ (1 << (i % 8)));
+    ExpectRecvMatchesDecode(flipped, "bit flip at byte " + std::to_string(i));
+  }
+  ExpectRecvMatchesDecode(HandcraftedFrame(9, Tag::kStats, "t", "p"),
+                          "version 9");
+  // A tenant length of 200 over a 2-byte rest, under a valid CRC.
+  ExpectRecvMatchesDecode(
+      FrameAroundBody(std::string("\x01\x06\xc8\x00", 4) + "ab"),
+      "tenant overrun");
+  for (const uint32_t len : {0u, 5u, 11u}) {
+    ExpectRecvMatchesDecode(LengthPrefix(len) + std::string(len, 'x'),
+                            "frame_len " + std::to_string(len));
+    ExpectRecvMatchesDecode(LengthPrefix(len) + std::string(len / 2, 'x'),
+                            "frame_len " + std::to_string(len) + ", cut");
+  }
+  ExpectRecvMatchesDecode(std::string("\xff\xff\xff\x7f", 4),
+                          "oversize prefix");
+  ExpectRecvMatchesDecode(EncodeFrame(Tag::kEncode, "t", std::string(256, 'x')),
+                          "over a 64-byte limit", /*max_frame_bytes=*/64);
+  // A payload read over three receive steps: whole, cut in the third
+  // step and in the trailer, and damaged in the second step.
+  const std::string big = EncodeFrame(
+      Tag::kEncode, "t", std::string(kRecvStepBytes * 5 / 2, 'y'));
+  ExpectRecvMatchesDecode(big, "multi-step frame");
+  ExpectRecvMatchesDecode(big.substr(0, 2 * kRecvStepBytes + 100),
+                          "multi-step frame cut in the third step");
+  ExpectRecvMatchesDecode(big.substr(0, big.size() - 3),
+                          "multi-step frame cut in the trailer");
+  std::string damaged = big;
+  damaged[kRecvStepBytes + 7] ^= 0x20;
+  ExpectRecvMatchesDecode(damaged, "multi-step frame damaged");
 }
 
 // ---------------------------------------------------------------------------
@@ -729,6 +921,48 @@ TEST_F(ServeEndToEndTest, MalformedFramesPoisonOnlyTheirConnection) {
   auto stats = client.Call(Tag::kStats, "t", RequestBody{});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_TRUE(stats.value().ok());
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
+/// This process's resident set in KiB (VmRSS in /proc/self/status).
+size_t VmRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+TEST_F(ServeEndToEndTest, LengthPrefixAloneCommitsNoMemory) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("prefix");
+  options.num_threads = 2;
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+  const size_t before_kib = VmRssKib();
+  ASSERT_GT(before_kib, 0u);
+
+  // A frame that promises 256 MiB, with a valid head and 100 payload
+  // bytes, then nothing more: the daemon reads what arrived and waits.
+  // Its memory must follow those bytes, not the prefix.
+  const int fd = RawConnect(options.socket_path);
+  ASSERT_GE(fd, 0);
+  SendAll(fd, LengthPrefix(256u << 20) + std::string("\x01\x06\x00\x00", 4) +
+                  std::string(100, 'p'));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const size_t waiting_kib = VmRssKib();
+  EXPECT_LT(waiting_kib, before_kib + 16 * 1024)
+      << "VmRSS went from " << before_kib << " to " << waiting_kib
+      << " KiB on a bare length prefix";
+
+  // The daemon still answers on another connection.
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+  auto health = client.Call(Tag::kHealth, "", RequestBody{});
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok());
+  ::close(fd);
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
