@@ -30,7 +30,9 @@
 # popp-serve test battery (byte-identity, tenant isolation, malformed
 # frames, kill-mid-request crash schedules), and a final smoke stage
 # round-trips a real popp-serve process against `popp encode` (the
-# popp-cols request cold, on its own tenant), sends it an encode with an
+# popp-cols request cold, on its own tenant; the CSV request and its
+# reply are over 1 MiB each, so frames cross between the two processes
+# in partial gather writes and stepped reads), sends it an encode with an
 # `inf` cell in each framing, a risk request with zero trials, a decode
 # whose tree splits on an attribute the data lacks and a header-only CSV
 # as an encode and as a verify (each must be refused by name), and a risk
@@ -298,7 +300,10 @@ echo "== serve smoke: daemon round trip vs one-shot CLI =="
 # Start a real popp-serve process, push a CSV and a cols-framed encode
 # through `popp serve-client` (the cols one first on tenant `cols`, so it
 # takes the cold path that fits the plan) and byte-compare both against
-# `popp encode`, send six bad requests (an encode with an `inf` cell as
+# `popp encode`. At 80,000 rows the CSV request is 1.4 MB and its reply
+# 4.8 MB, far over one socket buffer, so each frame leaves in many
+# partial gather writes and arrives in stepped reads, under ASan on both
+# sides. Then send six bad requests (an encode with an `inf` cell as
 # CSV and as popp-cols, a risk report with zero trials, a decode whose
 # tree splits on attribute index 4 of 3-attribute data, a header-only CSV
 # as an encode to a fresh tenant and as a verify), each refused by name,
@@ -313,7 +318,7 @@ serve_dir="$build_dir/serve-e2e"
 rm -rf "$serve_dir" && mkdir -p "$serve_dir"
 awk 'BEGIN {
   srand(3); print "u,v,w,class";
-  for (i = 0; i < 1500; i++)
+  for (i = 0; i < 80000; i++)
     printf "%d,%.3f,%.3f,%s\n", int(rand()*80), rand()*20, rand()*5,
            (rand() < 0.5 ? "p" : "q");
 }' > "$serve_dir/data.csv"
@@ -387,8 +392,10 @@ wait "$serve_pid"
 
 echo "== release benchmark: build + tiny self-check =="
 # perfbench links the library and calls shard::CountRows,
-# ChunkReader::SkipRows, the StreamStats/ShardStats fields, PlanKey::Make
-# and the one-argument ResumableCsvChunkWriter. The self-check builds it
+# ChunkReader::SkipRows, the StreamStats/ShardStats fields, PlanKey::Make,
+# the one-argument ResumableCsvChunkWriter, the serve codec (EncodeFrame,
+# DecodeFrame, RequestBody and ReplyBody's Encode and Decode, and
+# ReplyBody::Ok) and ServeClient::Call. The self-check builds it
 # from this checkout into .bench_build/ and runs every workload on tiny
 # inputs, untraced and traced, checking every metric and the output
 # bytes (about 90 s).
