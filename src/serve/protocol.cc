@@ -167,7 +167,7 @@ Result<Envelope> WrapPayload(Tag tag, std::string_view tenant,
 /// bytes that arrived.
 template <typename Fill>
 Result<Frame> ReadFrame(Fill&& fill, uint32_t max_frame_bytes) {
-  char prefix[4];
+  char prefix[4] = {};
   size_t got = 0;
   POPP_RETURN_IF_ERROR(fill(prefix, sizeof(prefix), &got));
   if (got < sizeof(prefix)) {
@@ -190,12 +190,12 @@ Result<Frame> ReadFrame(Fill&& fill, uint32_t max_frame_bytes) {
                             std::to_string(received));
   };
   if (frame_len < kFrameOverhead) {
-    char rest[kFrameOverhead];
+    char rest[kFrameOverhead] = {};
     POPP_RETURN_IF_ERROR(take(rest, frame_len));
     return Status::DataLoss("frame too short for a body and CRC trailer");
   }
 
-  char head[4];
+  char head[4] = {};
   POPP_RETURN_IF_ERROR(take(head, sizeof(head)));
   Crc64Stream crc;
   crc.Update(std::string_view(head, sizeof(head)));
@@ -217,7 +217,7 @@ Result<Frame> ReadFrame(Fill&& fill, uint32_t max_frame_bytes) {
         take(frame.payload.data() + at, frame.payload.size() - at));
     crc.Update(std::string_view(frame.payload).substr(at));
   }
-  char trailer[8];
+  char trailer[8] = {};
   POPP_RETURN_IF_ERROR(take(trailer, sizeof(trailer)));
 
   const uint64_t want_crc = GetU64(trailer);

@@ -56,6 +56,8 @@ std::string TempSocketPath(const std::string& name) {
 struct SocketPair {
   int fds[2] = {-1, -1};
   SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
   ~SocketPair() {
     for (const int fd : fds) {
       if (fd >= 0) ::close(fd);
