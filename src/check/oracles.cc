@@ -1789,10 +1789,9 @@ OracleResult CheckSupervisedConvergence(
 
   serve::ServeOptions serve_options;
   serve_options.socket_path = (serve_dir / "sock").string();
-  serve_options.num_threads = 2;
+  serve_options.num_threads = 1;
   serve_options.cache_capacity = 4;
   serve_options.save_dir = (serve_dir / "saves").string();
-  serve_options.max_inflight = 1;
   serve_options.max_queue = 1;
   serve::Server server(serve_options);
   if (Status started = server.Start(); !started.ok()) {

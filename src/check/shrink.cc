@@ -58,14 +58,28 @@ class Reader {
     return v;
   }
 
-  Result<size_t> Count(const char* what) {
-    auto v = Number(what);
-    if (!v.ok()) return v.status();
-    if (v.value() < 0 || v.value() != static_cast<size_t>(v.value())) {
-      return Status::InvalidArgument(std::string("recipe: bad count for ") +
-                                     what);
+  /// A count or seed: a whole unsigned decimal (`ParseDecimalU64`).
+  Result<uint64_t> Count(const char* what) {
+    auto word = Word(what);
+    if (!word.ok()) return word.status();
+    uint64_t v = 0;
+    if (!ParseDecimalU64(word.value(), &v)) {
+      return Status::InvalidArgument(std::string("recipe: ") + what +
+                                     " must be a whole unsigned decimal, "
+                                     "got '" + word.value() + "'");
     }
-    return static_cast<size_t>(v.value());
+    return v;
+  }
+
+  /// `count` words, read one at a time, so the text's end bounds them.
+  Result<std::vector<std::string>> Words(uint64_t count, const char* what) {
+    std::vector<std::string> words;
+    for (uint64_t i = 0; i < count; ++i) {
+      auto word = Word(what);
+      if (!word.ok()) return word.status();
+      words.push_back(std::move(word).value());
+    }
+    return words;
   }
 
   /// The remainder of the current line (for the free-form message field).
@@ -462,16 +476,9 @@ Result<Reproducer> LoadReproducer(const std::string& recipe_path) {
   if (!oracle.ok()) return oracle.status();
   repro.oracle_name = oracle.value();
   POPP_RETURN_IF_ERROR(reader.Expect("plan_seed"));
-  auto seed_word = reader.Word("plan seed");
-  if (!seed_word.ok()) return seed_word.status();
-  {
-    char* end = nullptr;
-    repro.c.plan_seed = std::strtoull(seed_word.value().c_str(), &end, 10);
-    if (end == seed_word.value().c_str() || *end != '\0') {
-      return Status::InvalidArgument("recipe: bad plan_seed '" +
-                                     seed_word.value() + "'");
-    }
-  }
+  auto seed = reader.Count("plan_seed");
+  if (!seed.ok()) return seed.status();
+  repro.c.plan_seed = seed.value();
   POPP_RETURN_IF_ERROR(reader.Expect("csv"));
   auto csv_name = reader.Word("csv file name");
   if (!csv_name.ok()) return csv_name.status();
@@ -479,21 +486,13 @@ Result<Reproducer> LoadReproducer(const std::string& recipe_path) {
   POPP_RETURN_IF_ERROR(reader.Expect("attributes"));
   auto num_attrs = reader.Count("attribute count");
   if (!num_attrs.ok()) return num_attrs.status();
-  std::vector<std::string> attr_names(num_attrs.value());
-  for (auto& name : attr_names) {
-    auto word = reader.Word("attribute name");
-    if (!word.ok()) return word.status();
-    name = word.value();
-  }
+  auto attr_names = reader.Words(num_attrs.value(), "attribute name");
+  if (!attr_names.ok()) return attr_names.status();
   POPP_RETURN_IF_ERROR(reader.Expect("classes"));
   auto num_classes = reader.Count("class count");
   if (!num_classes.ok()) return num_classes.status();
-  std::vector<std::string> class_names(num_classes.value());
-  for (auto& name : class_names) {
-    auto word = reader.Word("class name");
-    if (!word.ok()) return word.status();
-    name = word.value();
-  }
+  auto class_names = reader.Words(num_classes.value(), "class name");
+  if (!class_names.ok()) return class_names.status();
   POPP_RETURN_IF_ERROR(
       ParseTransformOptions(reader, repro.c.transform_options));
   POPP_RETURN_IF_ERROR(ParseBuildOptions(reader, repro.c.build_options));
@@ -503,13 +502,14 @@ Result<Reproducer> LoadReproducer(const std::string& recipe_path) {
   auto loaded = ReadCsv(DirName(recipe_path) + "/" + csv_name.value());
   if (!loaded.ok()) return loaded.status();
   const Dataset& raw = loaded.value();
-  if (raw.NumAttributes() != attr_names.size()) {
+  if (raw.NumAttributes() != attr_names.value().size()) {
     return Status::InvalidArgument("recipe: CSV attribute count mismatch");
   }
   // Rebuild the dataset under the recorded schema: CSV loading assigns
   // class ids by first appearance, which need not match the original ids
   // (and ids participate in tie-breaking).
-  Schema schema(attr_names, class_names);
+  Schema schema(std::move(attr_names).value(),
+                std::move(class_names).value());
   Dataset data(schema);
   data.Reserve(raw.NumRows());
   for (size_t r = 0; r < raw.NumRows(); ++r) {

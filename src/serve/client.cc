@@ -8,23 +8,25 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "fault/file.h"
 #include "resil/deadline.h"
+#include "util/decimal.h"
 
 namespace popp::serve {
 
 uint64_t ParseRetryAfterMs(const std::string& reply_text) {
-  constexpr const char kKey[] = "retry-after-ms ";
+  constexpr std::string_view kKey = "retry-after-ms ";
   const size_t pos = reply_text.find(kKey);
   if (pos == std::string::npos) return 0;
-  const char* start = reply_text.c_str() + pos + sizeof(kKey) - 1;
-  char* stop = nullptr;
-  const unsigned long long parsed = std::strtoull(start, &stop, 10);
-  return stop == start ? 0 : static_cast<uint64_t>(parsed);
+  const size_t start = pos + kKey.size();
+  const std::string_view hint = std::string_view(reply_text).substr(
+      start, reply_text.find_first_of(" \n", start) - start);
+  uint64_t ms = 0;
+  return ParseDecimalU64(hint, &ms) ? ms : 0;
 }
 
 ServeClient::~ServeClient() { Close(); }

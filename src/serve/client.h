@@ -43,7 +43,8 @@ struct RetryOptions {
 };
 
 /// Parses a "retry-after-ms N" hint out of a shed reply's text; returns 0
-/// when the reply carries none.
+/// when the reply carries none or N is not a whole unsigned decimal
+/// (`ParseDecimalU64`).
 uint64_t ParseRetryAfterMs(const std::string& reply_text);
 
 class ServeClient {

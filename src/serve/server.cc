@@ -8,7 +8,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -45,21 +47,6 @@ bool SocketIsLive(const std::string& path) {
   return live;
 }
 
-/// Maps the daemon-level knobs onto the admission controller's options.
-/// max_inflight 0 defaults to the connection-pool width: with one
-/// in-flight request per connection worker, admission then only sheds
-/// when the queue bound is also hit.
-resil::AdmissionOptions AdmissionFromServe(const ServeOptions& options) {
-  resil::AdmissionOptions admission;
-  admission.max_inflight =
-      options.max_inflight > 0
-          ? options.max_inflight
-          : (options.num_threads < 1 ? 1 : options.num_threads);
-  admission.max_queue = options.max_queue;
-  admission.per_tenant_inflight = options.per_tenant_inflight;
-  return admission;
-}
-
 /// Sends `reply` as one frame; its body goes out from its own buffer.
 Status SendReply(int fd, const ReplyBody& reply,
                  const std::atomic<bool>* stop) {
@@ -82,8 +69,9 @@ Server::Server(ServeOptions options)
     : options_(std::move(options)),
       op_config_{options_.max_request_threads, options_.save_dir},
       registry_(options_.cache_capacity),
-      admission_(AdmissionFromServe(options_)),
-      pool_(options_.num_threads < 1 ? 1 : options_.num_threads) {}
+      admission_({.max_inflight = std::max<size_t>(options_.num_threads, 1),
+                  .max_queue = options_.max_queue,
+                  .per_tenant_inflight = options_.per_tenant_inflight}) {}
 
 Server::~Server() {
   RequestShutdown();
@@ -149,19 +137,35 @@ int Server::Serve(std::ostream& log) {
     if (ready == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      log << "popp-serve: accept failed: " << ::strerror(errno) << "\n";
+      const int error = errno;
+      if (error == EINTR || error == ECONNABORTED) continue;
+      log << "popp-serve: accept failed: " << ::strerror(error) << "\n";
+      if (error == EMFILE || error == ENFILE || error == ENOBUFS ||
+          error == ENOMEM) {
+        // Out of descriptors or memory: the connection stays pending
+        // until a closing one frees what accept needs. Wait a slice, so
+        // the still-readable listener does not spin the loop.
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        continue;
+      }
       RequestShutdown();
       break;
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
-    pool_.Submit([this, fd] { HandleConnection(fd); });
+    try {
+      std::thread([this, fd] { HandleConnection(fd); }).detach();
+    } catch (const std::system_error& e) {
+      log << "popp-serve: cannot start a connection thread: " << e.what()
+          << "\n";
+      ::close(fd);
+      connections_.fetch_sub(1, std::memory_order_release);
+    }
   }
 
   // Drain: stop accepting, let in-flight requests finish. Blocked reads
   // — and replies whose peer stopped consuming — abort on the shutdown
-  // flag within one 100 ms poll slice, so every worker returns promptly
-  // even if its client went quiet or never reads.
+  // flag within one 100 ms poll slice, so every connection thread returns
+  // promptly even if its client went quiet or never reads.
   ::close(listen_fd_);
   listen_fd_ = -1;
   while (connections_.load(std::memory_order_acquire) > 0) {
@@ -258,6 +262,8 @@ void Server::HandleConnection(int fd) {
     }
   }
   ::close(fd);
+  // Last access to the Server: once the count reaches 0 the drain returns
+  // and the Server may be destroyed under this still-exiting thread.
   connections_.fetch_sub(1, std::memory_order_release);
 }
 
@@ -291,12 +297,10 @@ int RunServer(const ServeOptions& options, std::ostream& out,
         return 1;
     }
   }
-  const size_t threads = options.num_threads < 1 ? 1 : options.num_threads;
-  out << "popp-serve: listening on " << options.socket_path << " ("
-      << threads << " connection threads, per-tenant cache capacity "
-      << options.cache_capacity << ", admission "
-      << (options.max_inflight > 0 ? options.max_inflight : threads)
-      << " in flight / " << options.max_queue << " queued";
+  out << "popp-serve: listening on " << options.socket_path
+      << " (admission " << std::max<size_t>(options.num_threads, 1)
+      << " in flight / " << options.max_queue
+      << " queued, per-tenant cache capacity " << options.cache_capacity;
   if (options.per_tenant_inflight > 0) {
     out << ", tenant cap " << options.per_tenant_inflight;
   }

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <string>
 
-#include "parallel/thread_pool.h"
 #include "resil/admission.h"
 #include "serve/ops.h"
 #include "serve/workspace.h"
@@ -17,11 +16,15 @@
 /// Unix domain socket.
 ///
 /// Architecture: the calling thread runs the accept loop; every accepted
-/// connection is handed to the existing `ThreadPool`, whose worker runs
-/// that connection's request loop — one in-flight request per connection,
+/// connection gets its own thread for its lifetime, which runs that
+/// connection's request loop — one in-flight request per connection,
 /// with parallelism *inside* a request supplied by the request's own
-/// ExecPolicy (parallel column encode). The pool size therefore bounds
-/// concurrent connections, not throughput per request.
+/// ExecPolicy (parallel column encode). An open connection holds nothing
+/// but its thread and descriptor, so an idle one never delays another;
+/// the admission controller (`num_threads` slots) alone bounds how many
+/// requests execute at once. Open connections are bounded only by the
+/// process's descriptor limit; running out of descriptors makes the
+/// accept loop wait for one to free, never exit.
 ///
 /// Lifecycle contract (the graceful parts the CLI's one-shot model never
 /// needed):
@@ -55,7 +58,8 @@ namespace popp::serve {
 /// Daemon configuration.
 struct ServeOptions {
   std::string socket_path;
-  /// Worker threads for the connection pool (>= 1).
+  /// Requests executing at once across all tenants: the admission cap
+  /// (0 reads as 1). Connections are not counted; each has its own thread.
   size_t num_threads = 4;
   /// Per-tenant LRU capacity of the hot plan cache.
   size_t cache_capacity = 64;
@@ -68,9 +72,6 @@ struct ServeOptions {
   /// server-side saves entirely — a socket peer must not get arbitrary
   /// writes with the daemon's filesystem privileges.
   std::string save_dir;
-  /// Concurrent-execution cap across all tenants; 0 means "match
-  /// num_threads" (one executing request per connection worker).
-  size_t max_inflight = 0;
   /// Bounded admission queue; the max_queue+1'th waiter is shed with an
   /// explicit kUnavailable reply instead of queued.
   size_t max_queue = 16;
@@ -115,14 +116,15 @@ class Server {
   static void InstallSignalHandlers(Server* server);
 
  private:
-  /// One connection's request loop (runs on a pool worker).
+  /// One connection's request loop (runs on the connection's own thread).
+  /// Its last access to the Server is the `connections_` decrement that
+  /// the drain waits for, so the Server outlives every connection thread.
   void HandleConnection(int fd);
 
   ServeOptions options_;
   OpConfig op_config_;
   WorkspaceRegistry registry_;
   resil::AdmissionController admission_;
-  ThreadPool pool_;
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> rejected_frames_{0};

@@ -11,6 +11,7 @@
 #include "check/shrink.h"
 #include "data/cols.h"
 #include "data/dataset.h"
+#include "temp_path.h"
 #include "transform/plan.h"
 #include "transform/serialize.h"
 #include "tree/compare.h"
@@ -77,6 +78,56 @@ TEST(SerializeGolden, ReproducerRecipeRoundTripIsByteStable) {
   EXPECT_EQ(ReadFile(out_csv), csv_bytes);
   std::remove(out_csv.c_str());
   std::remove(out_recipe.c_str());
+}
+
+TEST(SerializeGolden, RecipeCountsAndSeedAreWholeDecimals) {
+  const std::string golden = ReadFile(DataDir() + "/golden_repro.recipe");
+  const std::string csv = TempPath("repro.csv");
+  const std::string recipe = TempPath("repro.recipe");
+  std::ofstream(csv, std::ios::binary)
+      << ReadFile(DataDir() + "/golden_repro.csv");
+  // The golden recipe with one line swapped, naming the copied CSV.
+  const auto load = [&](const std::string& from, const std::string& to) {
+    std::string text = golden;
+    const auto swap = [&text](const std::string& a, const std::string& b) {
+      const size_t at = text.find(a);
+      EXPECT_NE(at, std::string::npos) << a;
+      if (at != std::string::npos) text.replace(at, a.size(), b);
+    };
+    swap("csv golden_repro.csv", "csv " + csv.substr(csv.rfind('/') + 1));
+    if (!from.empty()) swap(from, to);
+    std::ofstream(recipe, std::ios::binary) << text;
+    return check::LoadReproducer(recipe);
+  };
+  const auto loaded = load("", "");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().c.plan_seed, 11351871657318728186u);
+
+  struct BadCase {
+    const char* from;
+    const char* to;
+    const char* expect;  ///< required diagnostic substring
+  };
+  const BadCase cases[] = {
+      // strtoull read this as 2^64 - 1 and replayed under that seed.
+      {"plan_seed 11351871657318728186", "plan_seed -1", "plan_seed"},
+      // strtod read these as counts, and the name lists sized to them
+      // aborted the replay (std::length_error).
+      {"attributes 2 a0", "attributes 1e18 a0", "attribute count"},
+      {"attributes 2 a0", "attributes 1000000000000000000 a0",
+       "attribute name, got end of input"},
+      {"classes 3 c0", "classes 3.0 c0", "class count"},
+      {"max_depth 20", "max_depth 2e1", "max_depth"},
+  };
+  for (const BadCase& c : cases) {
+    const auto refused = load(c.from, c.to);
+    ASSERT_FALSE(refused.ok()) << c.to;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << c.to;
+    EXPECT_NE(refused.status().message().find(c.expect), std::string::npos)
+        << refused.status().ToString();
+  }
+  std::remove(csv.c_str());
+  std::remove(recipe.c_str());
 }
 
 // ------------------------------------------- corrupt-key corpus --------

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -366,6 +367,21 @@ TEST(ServeProtocolTest, RecvFrameRefusesMalformedFramesAsDecodeFrameDoes) {
 
 // ---------------------------------------------------------------------------
 // Plan cache: key canonicalization and strict LRU.
+
+TEST(ServeClientTest, RetryAfterHintIsAWholeDecimalOrNone) {
+  EXPECT_EQ(ParseRetryAfterMs("overloaded: admission queue full (0 queued, "
+                              "1 in flight); retry-after-ms 100"),
+            100u);
+  EXPECT_EQ(ParseRetryAfterMs("overloaded"), 0u);
+  // A malformed hint is no hint, so the retry loop falls back to its own
+  // backoff: "-5" must not read as 2^64 - 5 ms of sleep.
+  for (const char* text :
+       {"retry-after-ms -5", "retry-after-ms 12x", "retry-after-ms +7",
+        "retry-after-ms  7", "retry-after-ms ",
+        "retry-after-ms 18446744073709551616"}) {
+    EXPECT_EQ(ParseRetryAfterMs(text), 0u) << text;
+  }
+}
 
 TEST(PlanCacheKeyTest, PolicyFingerprintSeparatesEveryKnob) {
   const PiecewiseOptions base;
@@ -997,6 +1013,117 @@ TEST_F(ServeEndToEndTest, PeerVanishingMidReplyCostsOnlyItsConnection) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
+/// Closes a raw test connection on scope exit.
+struct ScopedFd {
+  int fd;
+  ~ScopedFd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// Sends `frame` on `fd` and reads the reply if one starts within
+/// `timeout_ms`: a daemon that leaves the request unanswered fails the
+/// test instead of hanging it.
+Result<ReplyBody> CallWithin(int fd, const std::string& frame,
+                             int timeout_ms) {
+  SendAllNoSignal(fd, frame);
+  struct pollfd pfd = {fd, POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) != 1) {
+    return Status::Unavailable("no reply within " +
+                               std::to_string(timeout_ms) + " ms");
+  }
+  auto reply = RecvFrame(fd);
+  if (!reply.ok()) return reply.status();
+  return ReplyBody::Decode(std::move(reply.value().payload));
+}
+
+TEST_F(ServeEndToEndTest, OpenConnectionsBeyondThreadsDelayNoRequest) {
+  // One request executes at a time, and four connections stay open: two
+  // silent, one stopped inside a frame, and a client that finished its
+  // request. None holds an execution slot, so a health probe and an
+  // encode on fresh connections are answered.
+  ServeOptions options;
+  options.socket_path = TempSocketPath("idle");
+  options.num_threads = 1;
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+
+  RequestBody request;
+  request.options = OptionsText(9, 1);
+  request.dataset = csv_bytes_;
+  ServeClient finished;
+  ASSERT_TRUE(finished.Connect(options.socket_path).ok());
+  auto first = finished.Call(Tag::kEncode, "t", request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().ok()) << first.value().text;
+
+  const std::string encode = EncodeFrame(Tag::kEncode, "t", request.Encode());
+  ScopedFd silent{RawConnect(options.socket_path)};
+  ScopedFd also_silent{RawConnect(options.socket_path)};
+  ScopedFd mid_frame{RawConnect(options.socket_path)};
+  ASSERT_GE(silent.fd, 0);
+  ASSERT_GE(also_silent.fd, 0);
+  ASSERT_GE(mid_frame.fd, 0);
+  SendAllNoSignal(mid_frame.fd,
+                  std::string_view(encode).substr(0, encode.size() / 2));
+
+  ScopedFd probe{RawConnect(options.socket_path)};
+  ASSERT_GE(probe.fd, 0);
+  auto health = CallWithin(probe.fd, EncodeFrame(Tag::kHealth, "", ""), 10000);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_TRUE(health.value().ok()) << health.value().text;
+  EXPECT_NE(health.value().body.find("connections 5\n"), std::string::npos)
+      << health.value().body;
+
+  ScopedFd fresh{RawConnect(options.socket_path)};
+  ASSERT_GE(fresh.fd, 0);
+  auto second = CallWithin(fresh.fd, encode, 10000);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second.value().ok()) << second.value().text;
+  EXPECT_EQ(second.value().body, first.value().body);
+  EXPECT_EQ(daemon.Shutdown(), 0);
+}
+
+TEST_F(ServeEndToEndTest, RunningOutOfDescriptorsPausesAcceptWithoutExiting) {
+  ServeOptions options;
+  options.socket_path = TempSocketPath("nofile");
+  TestServer daemon;
+  ASSERT_TRUE(daemon.Start(options).ok());
+
+  // The client's socket exists before this process (the daemon included)
+  // is held to the descriptors it has open, so its connect succeeds while
+  // the daemon's accept has no descriptor to return.
+  ScopedFd client{::socket(AF_UNIX, SOCK_STREAM, 0)};
+  ASSERT_GE(client.fd, 0);
+  const int lowest_free = ::dup(client.fd);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ::memcpy(addr.sun_path, options.socket_path.c_str(),
+           options.socket_path.size() + 1);
+  const int connected = ::connect(
+      client.fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int connect_errno = errno;
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0) << ::strerror(connect_errno);
+
+  // The pending connection is accepted once descriptors are free again.
+  auto health =
+      CallWithin(client.fd, EncodeFrame(Tag::kHealth, "", ""), 10000);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_TRUE(health.value().ok()) << health.value().text;
+  EXPECT_EQ(daemon.Shutdown(), 0);
+  EXPECT_NE(daemon.log.str().find("Too many open files"), std::string::npos)
+      << daemon.log.str();
+}
+
 TEST(ServeDrainTest, DrainAbortsAPeerThatStopsConsumingItsReply) {
   // A reply larger than the socket buffer blocks the worker's send; a
   // drain must abort that write instead of spinning on the connection
@@ -1503,7 +1630,7 @@ class ServeAdmissionTest : public ServeEndToEndTest {
 TEST_F(ServeAdmissionTest, HealthBypassesAdmissionAndReportsCounters) {
   ServeOptions options;
   options.socket_path = TempSocketPath("health");
-  options.max_inflight = 3;
+  options.num_threads = 3;
   options.max_queue = 5;
   options.per_tenant_inflight = 2;
   TestServer daemon;
@@ -1550,8 +1677,7 @@ TEST_F(ServeAdmissionTest, QueueFullShedsWithRetryAfterHint) {
                                std::to_string(::getpid());
   ServeOptions options;
   options.socket_path = TempSocketPath("full");
-  options.num_threads = 2;
-  options.max_inflight = 1;
+  options.num_threads = 1;
   options.max_queue = 0;  // no queue: overflow sheds immediately
   options.save_dir = save_dir;
   TestServer daemon;
@@ -1599,8 +1725,7 @@ TEST_F(ServeAdmissionTest, PerTenantCapLeavesOtherTenantsServed) {
                                std::to_string(::getpid());
   ServeOptions options;
   options.socket_path = TempSocketPath("cap");
-  options.num_threads = 3;
-  options.max_inflight = 2;
+  options.num_threads = 2;
   options.max_queue = 0;
   options.per_tenant_inflight = 1;
   options.save_dir = save_dir;
@@ -1699,8 +1824,7 @@ TEST_F(ServeAdmissionTest, ClientRetryLoopRecoversFromShedding) {
                                std::to_string(::getpid());
   ServeOptions options;
   options.socket_path = TempSocketPath("retry");
-  options.num_threads = 2;
-  options.max_inflight = 1;
+  options.num_threads = 1;
   options.max_queue = 0;
   options.save_dir = save_dir;
   TestServer daemon;

@@ -22,7 +22,9 @@ LRU, so a warm encode is one compiled-kernel pass instead of a refit.
 Requests are issued with `popp serve-client <socket-path> <op> ...`.
 
 options (each also written --name=value):
-  --threads N           connection worker threads      (default 4)
+  --threads N           requests executing at once     (default 4);
+                        every connection has its own thread, so open
+                        connections do not count against N
   --cache-capacity N    per-tenant hot-plan LRU size   (default 64)
   --max-request-threads N
                         ceiling on a request's ExecPolicy (default 16)
@@ -30,8 +32,6 @@ options (each also written --name=value):
                         relative path, confined to DIR/<tenant>/.
                         Without this flag server-side saves are refused
                         (a socket peer gets no filesystem writes).
-  --max-inflight N      concurrent-execution cap across all tenants
-                        (default 0 = match --threads)
   --max-queue N         admission queue bound; the next waiter is shed
                         with an explicit overloaded reply (default 16)
   --tenant-cap N        per-tenant concurrent-execution cap
@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
       {popp::NumberFlag("threads", 1), popp::NumberFlag("cache-capacity", 1),
        popp::NumberFlag("max-request-threads", 1),
        popp::TextFlag("save-dir", NeedsDirectory),
-       popp::NumberFlag("max-inflight"), popp::NumberFlag("max-queue"),
-       popp::NumberFlag("tenant-cap")},
+       popp::NumberFlag("max-queue"), popp::NumberFlag("tenant-cap")},
       "popp-serve --help");
   if (!parsed.ok()) {
     std::cerr << "popp-serve: " << parsed.status().message() << "\n";
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
   options.max_request_threads =
       flags.Number("max-request-threads", options.max_request_threads);
   options.save_dir = flags.Text("save-dir");
-  options.max_inflight = flags.Number("max-inflight", options.max_inflight);
   options.max_queue = flags.Number("max-queue", options.max_queue);
   options.per_tenant_inflight =
       flags.Number("tenant-cap", options.per_tenant_inflight);
