@@ -30,6 +30,8 @@
 # popp-serve test battery (byte-identity, tenant isolation, malformed
 # frames, kill-mid-request crash schedules), and a final smoke stage
 # round-trips a real popp-serve process against `popp encode` (the
+# daemon runs one request at a time, and its CSV request and `health`
+# are answered while three idle connections stay open; the
 # popp-cols request cold, on its own tenant; the CSV request and its
 # reply are over 1 MiB each, so frames cross between the two processes
 # in partial gather writes and stepped reads), sends it an encode with an
@@ -277,7 +279,7 @@ echo "== shard_vs_stream oracle + sharded-release tests under TSan =="
 echo "== serve_vs_cli oracle + concurrent serving tests under TSan =="
 # The daemon's accept loop, per-tenant locking and drain path under real
 # concurrency: four tenants hammer one daemon from four client threads
-# while TSan watches the ThreadPool handoffs, then the oracle replays the
+# while TSan watches the per-connection threads, then the oracle replays the
 # byte-identity + crash-schedule sweep.
 "$tsan_build_dir/tools/popp_check" --oracle serve_vs_cli \
   --trials 8 --seed 7 --out "$tsan_build_dir"
@@ -297,7 +299,10 @@ timeout 900 "$tsan_build_dir/tools/popp_check" \
   --gtest_filter='ResilRetry*:ResilDeadline*:ResilHeartbeat*:ResilAdmission*:ServeAdmission*:ShardSweep*:FailPointDelay*'
 
 echo "== serve smoke: daemon round trip vs one-shot CLI =="
-# Start a real popp-serve process, push a CSV and a cols-framed encode
+# Start a real popp-serve process with one request slot (--threads 1)
+# and hold three connections to it open and silent: every connection has
+# its own thread, so `health` and the CSV encode below must each be
+# answered within their timeouts. Push a CSV and a cols-framed encode
 # through `popp serve-client` (the cols one first on tenant `cols`, so it
 # takes the cold path that fits the plan) and byte-compare both against
 # `popp encode`. At 80,000 rows the CSV request is 1.4 MB and its reply
@@ -327,12 +332,25 @@ awk 'BEGIN {
 "$build_dir/tools/popp" encode "$serve_dir/data.csv" \
   "$serve_dir/oneshot.csv" "$serve_dir/oneshot.key" --seed 21 --policy bp
 sock="$serve_dir/popp.sock"
-"$build_dir/tools/popp-serve" "$sock" --threads 2 &
+"$build_dir/tools/popp-serve" "$sock" --threads 1 &
 serve_pid=$!
 for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
-"$build_dir/tools/popp" serve-client "$sock" encode \
+python3 -c '
+import socket, sys, time
+held = [socket.socket(socket.AF_UNIX) for _ in range(3)]
+for s in held:
+    s.connect(sys.argv[1])
+print("held", flush=True)
+time.sleep(300)
+' "$sock" > "$serve_dir/held.out" &
+holder_pid=$!
+for _ in $(seq 50); do grep -qs held "$serve_dir/held.out" && break; sleep 0.1; done
+timeout 10 "$build_dir/tools/popp" serve-client "$sock" health
+timeout 120 "$build_dir/tools/popp" serve-client "$sock" encode \
   "$serve_dir/data.csv" "$serve_dir/served.csv" --seed 21 --policy bp
 cmp "$serve_dir/oneshot.csv" "$serve_dir/served.csv"
+kill "$holder_pid"
+wait "$holder_pid" || true
 "$build_dir/tools/popp" serve-client "$sock" encode \
   "$serve_dir/data.cols" "$serve_dir/served.cols" --seed 21 --policy bp \
   --tenant cols
