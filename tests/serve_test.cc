@@ -368,21 +368,6 @@ TEST(ServeProtocolTest, RecvFrameRefusesMalformedFramesAsDecodeFrameDoes) {
 // ---------------------------------------------------------------------------
 // Plan cache: key canonicalization and strict LRU.
 
-TEST(ServeClientTest, RetryAfterHintIsAWholeDecimalOrNone) {
-  EXPECT_EQ(ParseRetryAfterMs("overloaded: admission queue full (0 queued, "
-                              "1 in flight); retry-after-ms 100"),
-            100u);
-  EXPECT_EQ(ParseRetryAfterMs("overloaded"), 0u);
-  // A malformed hint is no hint, so the retry loop falls back to its own
-  // backoff: "-5" must not read as 2^64 - 5 ms of sleep.
-  for (const char* text :
-       {"retry-after-ms -5", "retry-after-ms 12x", "retry-after-ms +7",
-        "retry-after-ms  7", "retry-after-ms ",
-        "retry-after-ms 18446744073709551616"}) {
-    EXPECT_EQ(ParseRetryAfterMs(text), 0u) << text;
-  }
-}
-
 TEST(PlanCacheKeyTest, PolicyFingerprintSeparatesEveryKnob) {
   const PiecewiseOptions base;
   PiecewiseOptions changed = base;
@@ -849,15 +834,20 @@ TEST_F(ServeEndToEndTest, ConcurrentTenantsStayIsolatedAndDeterministic) {
   EXPECT_EQ(daemon.Shutdown(), 0);
 }
 
-/// Connects a raw socket for malformed-frame tests.
-int RawConnect(const std::string& path) {
+/// Connects the socket `fd` to `path`; returns connect()'s result.
+int ConnectTo(int fd, const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   ::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr));
+}
+
+/// Connects a raw socket for malformed-frame tests.
+int RawConnect(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
+  if (ConnectTo(fd, path) != 0) {
     ::close(fd);
     return -1;
   }
@@ -1103,12 +1093,7 @@ TEST_F(ServeEndToEndTest, RunningOutOfDescriptorsPausesAcceptWithoutExiting) {
   rlimit lowered = saved;
   lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ::memcpy(addr.sun_path, options.socket_path.c_str(),
-           options.socket_path.size() + 1);
-  const int connected = ::connect(
-      client.fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int connected = ConnectTo(client.fd, options.socket_path);
   const int connect_errno = errno;
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
@@ -1586,6 +1571,21 @@ TEST_F(ServeEndToEndTest, FitDecodeVerifyRiskRoundTrips) {
 
 // ---------------------------------------------------------------------------
 // Admission control and deadlines (the §17 overload contract).
+
+TEST(ServeClientTest, RetryAfterHintIsAWholeDecimalOrNone) {
+  EXPECT_EQ(ParseRetryAfterMs("overloaded: admission queue full (0 queued, "
+                              "1 in flight); retry-after-ms 100"),
+            100u);
+  EXPECT_EQ(ParseRetryAfterMs("overloaded"), 0u);
+  // A malformed hint is no hint, so the retry loop falls back to its own
+  // backoff: "-5" must not read as 2^64 - 5 ms of sleep.
+  for (const char* text :
+       {"retry-after-ms -5", "retry-after-ms 12x", "retry-after-ms +7",
+        "retry-after-ms  7", "retry-after-ms ",
+        "retry-after-ms 18446744073709551616"}) {
+    EXPECT_EQ(ParseRetryAfterMs(text), 0u) << text;
+  }
+}
 
 class ServeAdmissionTest : public ServeEndToEndTest {
  protected:
