@@ -1006,6 +1006,9 @@ TEST_F(ServeEndToEndTest, PeerVanishingMidReplyCostsOnlyItsConnection) {
 /// Closes a raw test connection on scope exit.
 struct ScopedFd {
   int fd;
+  explicit ScopedFd(int descriptor) : fd(descriptor) {}
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
   ~ScopedFd() {
     if (fd >= 0) ::close(fd);
   }
